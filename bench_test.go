@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -96,7 +97,7 @@ func BenchmarkE1_ONEXBestMatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := w.queries[i%len(w.queries)]
-		if _, err := w.engine.BestMatch(q); err != nil {
+		if _, err := w.engine.Find(context.Background(), q, core.FindOptions{Options: w.engine.Options(), K: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +108,7 @@ func BenchmarkE1_ONEXExactBestMatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := w.queries[i%len(w.queries)]
-		if _, err := w.exact.BestMatch(q); err != nil {
+		if _, err := w.exact.Find(context.Background(), q, core.FindOptions{Options: w.exact.Options(), K: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,9 +208,9 @@ func BenchmarkE5_Seasonal(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.SeasonalByIndex(0, core.SeasonalOptions{
+		if _, err := engine.SeasonalByIndex(context.Background(), 0, core.SeasonalOptions{
 			MinLength: 12, MaxLength: 12, MinOccurrences: 3,
-		}); err != nil {
+		}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -225,7 +226,10 @@ func BenchmarkF1_OpenAndQuery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := db.BestMatchOtherSeries("MA", 0, 8); err != nil {
+		if _, err := db.Find(context.Background(), onex.Query{
+			Window:  onex.Window{Series: "MA", Start: 0, Length: 8},
+			Exclude: onex.Exclude{Series: []string{"MA"}},
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -557,10 +557,19 @@ func cmdSeasonal(args []string) error {
 	if err != nil {
 		return err
 	}
-	pats, err := db.Seasonal(*series, *of.minLen, *of.maxLen, *minOcc)
+	ctx, stop := queryContext()
+	defer stop()
+	// Non-positive bounds mean "the indexed range"; Analysis spells that 0.
+	res, err := db.Analyze(ctx, onex.Analysis{
+		Kind:           onex.AnalysisSeasonal,
+		Series:         *series,
+		Lengths:        onex.Lengths{Min: max(*of.minLen, 0), Max: max(*of.maxLen, 0)},
+		MinOccurrences: *minOcc,
+	})
 	if err != nil {
 		return err
 	}
+	pats := res.Patterns
 	if len(pats) == 0 {
 		fmt.Fprintln(stdout, "no repeating patterns found")
 		return nil
@@ -580,12 +589,14 @@ func cmdRecommend(args []string) error {
 	if err != nil {
 		return err
 	}
-	recs, err := db.RecommendThresholds()
+	ctx, stop := queryContext()
+	defer stop()
+	res, err := db.Analyze(ctx, onex.Analysis{Kind: onex.AnalysisThresholds})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(stdout, "data-driven similarity thresholds (normalized units):")
-	for _, r := range recs {
+	for _, r := range res.Thresholds.Recommendations {
 		fmt.Fprintf(stdout, "  %-9s ST=%.6f (p%.0f of pairwise ED; ~%d groups, %.1fx compaction at probe length)\n",
 			r.Label, r.ST, r.Percentile*100, r.EstGroups, r.EstCompaction)
 	}
@@ -602,7 +613,13 @@ func cmdOverview(args []string) error {
 	if err != nil {
 		return err
 	}
-	groups := db.Overview(*length, *k)
+	ctx, stop := queryContext()
+	defer stop()
+	res, err := db.Analyze(ctx, onex.Analysis{Kind: onex.AnalysisOverview, Length: *length, K: *k})
+	if err != nil {
+		return err
+	}
+	groups := res.Groups
 	if len(groups) == 0 {
 		fmt.Fprintln(stdout, "no groups")
 		return nil
@@ -632,16 +649,22 @@ func cmdViz(args []string) error {
 	if err != nil {
 		return err
 	}
+	ctx, stop := queryContext()
+	defer stop()
 	var svg string
 	switch *kind {
 	case "match":
 		if *series == "" || *length <= 0 {
 			return fmt.Errorf("viz match: -series and -len are required")
 		}
-		m, err := db.BestMatchForSeries(*series, *start, *length)
+		res, err := db.Find(ctx, onex.Query{
+			Window:  onex.Window{Series: *series, Start: *start, Length: *length},
+			Exclude: onex.Exclude{Self: true},
+		})
 		if err != nil {
 			return err
 		}
+		m := res.Matches[0]
 		vals, err := db.SeriesValues(*series)
 		if err != nil {
 			return err
@@ -679,10 +702,17 @@ func cmdViz(args []string) error {
 		if *series == "" {
 			return fmt.Errorf("viz seasonal: -series is required")
 		}
-		pats, err := db.Seasonal(*series, *length, *length, 2)
+		l := max(*length, 0)
+		res, err := db.Analyze(ctx, onex.Analysis{
+			Kind:           onex.AnalysisSeasonal,
+			Series:         *series,
+			Lengths:        onex.Lengths{Min: l, Max: l},
+			MinOccurrences: 2,
+		})
 		if err != nil {
 			return err
 		}
+		pats := res.Patterns
 		vals, err := db.SeriesValues(*series)
 		if err != nil {
 			return err
@@ -698,9 +728,12 @@ func cmdViz(args []string) error {
 		}
 		svg = viz.SeasonalView(title, vals, segs, 760, 260)
 	case "overview":
-		groups := db.Overview(*length, *k)
-		cells := make([]viz.OverviewCell, len(groups))
-		for i, g := range groups {
+		res, err := db.Analyze(ctx, onex.Analysis{Kind: onex.AnalysisOverview, Length: *length, K: *k})
+		if err != nil {
+			return err
+		}
+		cells := make([]viz.OverviewCell, len(res.Groups))
+		for i, g := range res.Groups {
 			cells[i] = viz.OverviewCell{Rep: g.Rep, Count: g.Count,
 				Label: fmt.Sprintf("len %d · n=%d", g.Length, g.Count)}
 		}

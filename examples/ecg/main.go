@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -36,10 +37,15 @@ func main() {
 
 	// Take two beats of the normal reference recording as the query.
 	const ref = "ecg-00"
-	m, err := db.BestMatchOtherSeries(ref, 0, 48)
+	ctx := context.Background()
+	res, err := db.Find(ctx, onex.Query{
+		Window:  onex.Window{Series: ref, Start: 0, Length: 48},
+		Exclude: onex.Exclude{Series: []string{ref}},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := res.Matches[0]
 	refClass := classOf(data, ref)
 	matchClass := classOf(data, m.Series)
 	fmt.Printf("query: two beats of %s (%s)\n", ref, refClass)
@@ -52,12 +58,16 @@ func main() {
 		log.Fatal(err)
 	}
 	q := vals[0:48]
-	pts, err := db.SimilaritySweep(q, []float64{m.Dist, m.Dist * 2, m.Dist * 4})
+	sweep, err := db.Analyze(ctx, onex.Analysis{
+		Kind:       onex.AnalysisSimilaritySweep,
+		Values:     q,
+		Thresholds: []float64{m.Dist, m.Dist * 2, m.Dist * 4},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("matches within threshold:")
-	for _, p := range pts {
+	for _, p := range sweep.Sweep {
 		fmt.Printf("  <= %.4f : %d windows\n", p.MaxDist, p.Matches)
 	}
 

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -47,10 +48,16 @@ func main() {
 		st.Subsequences, st.Groups, st.CompactionRatio, st.BuildMillis)
 
 	const household = "household-00"
-	pats, err := db.Seasonal(household, samplesPerDay, samplesPerDay, 4)
+	res, err := db.Analyze(context.Background(), onex.Analysis{
+		Kind:           onex.AnalysisSeasonal,
+		Series:         household,
+		Lengths:        onex.Lengths{Min: samplesPerDay, Max: samplesPerDay},
+		MinOccurrences: 4,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	pats := res.Patterns
 	if len(pats) == 0 {
 		log.Fatal("no repeating pattern found — unexpected for daily-cycle data")
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -41,9 +42,13 @@ func main() {
 		st.Subsequences, st.Groups, st.CompactionRatio)
 
 	// --- Fig 2, overview pane: group representatives, tint = cardinality.
-	groups := db.Overview(12, 12)
-	cells := make([]viz.OverviewCell, len(groups))
-	for i, g := range groups {
+	ctx := context.Background()
+	overview, err := db.Analyze(ctx, onex.Analysis{Kind: onex.AnalysisOverview, Length: 12, K: 12})
+	if err != nil {
+		log.Fatal(err)
+	}
+	cells := make([]viz.OverviewCell, len(overview.Groups))
+	for i, g := range overview.Groups {
 		cells[i] = viz.OverviewCell{Rep: g.Rep, Count: g.Count,
 			Label: fmt.Sprintf("n=%d", g.Count)}
 	}
@@ -79,7 +84,7 @@ func main() {
 			[]viz.NamedSeries{{Name: "MA (brushed)", Values: brushed}}, 480, 200))
 
 	// --- Fig 2, results pane: best match with warped-point connections.
-	m, err := db.BestMatchOtherSeries("MA", brushStart, len(brushed))
+	m, err := bestOtherSeries(ctx, db, "MA", brushStart, len(brushed))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,7 +107,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tm, err := techDB.BestMatchOtherSeries("MA", 0, 12)
+	tm, err := bestOtherSeries(ctx, techDB, "MA", 0, 12)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -127,4 +132,17 @@ func write(dir, name, svg string) {
 		log.Fatal(err)
 	}
 	fmt.Println("  wrote", path)
+}
+
+// bestOtherSeries finds the window most similar to series[start:start+length)
+// in any other series: "which other state looks most like MA?".
+func bestOtherSeries(ctx context.Context, db *onex.DB, series string, start, length int) (onex.Match, error) {
+	res, err := db.Find(ctx, onex.Query{
+		Window:  onex.Window{Series: series, Start: start, Length: length},
+		Exclude: onex.Exclude{Series: []string{series}},
+	})
+	if err != nil {
+		return onex.Match{}, err
+	}
+	return res.Matches[0], nil
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,21 +40,31 @@ func main() {
 
 	// 3. Similarity: which state's recent growth trajectory most
 	//    resembles Massachusetts'?
-	m, err := db.BestMatchOtherSeries("MA", 12, 12) // the last 12 quarters
+	ctx := context.Background()
+	res, err := db.Find(ctx, onex.Query{
+		Window:  onex.Window{Series: "MA", Start: 12, Length: 12}, // the last 12 quarters
+		Exclude: onex.Exclude{Series: []string{"MA"}},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := res.Matches[0]
 	fmt.Printf("most similar to MA's last 12 quarters: %s[%d:%d) at DTW %.4f\n",
 		m.Series, m.Start, m.Start+m.Length, m.Dist)
 	fmt.Printf("matched values: %.2f ... %.2f (%d points, warping path %d steps)\n\n",
 		m.Values[0], m.Values[len(m.Values)-1], len(m.Values), len(m.Path))
 
 	// 4. Seasonal: does MA's growth repeat within itself?
-	pats, err := db.Seasonal("MA", 4, 8, 2)
+	seasonal, err := db.Analyze(ctx, onex.Analysis{
+		Kind:           onex.AnalysisSeasonal,
+		Series:         "MA",
+		Lengths:        onex.Lengths{Min: 4, Max: 8},
+		MinOccurrences: 2,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(pats) == 0 {
+	if pats := seasonal.Patterns; len(pats) == 0 {
 		fmt.Println("no repeating pattern inside MA at lengths 4-8")
 	} else {
 		p := pats[0]
@@ -63,12 +74,12 @@ func main() {
 	fmt.Println()
 
 	// 5. Threshold recommendation: what ST would suit this dataset?
-	recs, err = db.RecommendThresholds()
+	thresholds, err := db.Analyze(ctx, onex.Analysis{Kind: onex.AnalysisThresholds})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("threshold recommendations (normalized units):")
-	for _, r := range recs {
+	for _, r := range thresholds.Thresholds.Recommendations {
 		fmt.Printf("  %-9s ST=%.4f  (~%d groups at probe length)\n", r.Label, r.ST, r.EstGroups)
 	}
 }

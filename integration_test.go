@@ -5,6 +5,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -39,7 +40,7 @@ func TestPipelineGenerateSaveReloadQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := db.BestMatchOtherSeries("MA", 0, 8)
+	m1, err := bestOtherSeries(db, "MA", 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestPipelineGenerateSaveReloadQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := db2.BestMatchOtherSeries("MA", 0, 8)
+	m2, err := bestOtherSeries(db2, "MA", 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestPipelineServerMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.BestMatchForSeries("MA", 2, 8)
+	want, err := bestForSeries(db, "MA", 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +108,16 @@ func TestPipelineSeasonalToVisualization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pats, err := db.Seasonal("household-00", 12, 12, 3)
+	res, err := db.Analyze(context.Background(), onex.Analysis{
+		Kind:           onex.AnalysisSeasonal,
+		Series:         "household-00",
+		Lengths:        onex.Lengths{Min: 12, Max: 12},
+		MinOccurrences: 3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pats := res.Patterns
 	if len(pats) == 0 {
 		t.Fatal("no seasonal pattern in daily-cycle data")
 	}
@@ -174,7 +181,7 @@ func TestPipelineIncrementalInsertEndToEnd(t *testing.T) {
 	if db.Stats().Subsequences <= before {
 		t.Fatal("insert did not grow the base")
 	}
-	m, err := db.BestMatchOtherSeries("MA", 0, 8)
+	m, err := bestOtherSeries(db, "MA", 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +232,7 @@ func TestPipelineServingTierEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(repeat, &res); err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.BestMatchOtherSeries("MA", 2, 8)
+	want, err := bestOtherSeries(db, "MA", 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +316,11 @@ func TestDeterminism(t *testing.T) {
 	if db1.ST() != db2.ST() || db1.Stats().Groups != db2.Stats().Groups {
 		t.Fatal("base construction not deterministic")
 	}
-	m1, err := db1.BestMatchOtherSeries("MA", 0, 8)
+	m1, err := bestOtherSeries(db1, "MA", 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := db2.BestMatchOtherSeries("MA", 0, 8)
+	m2, err := bestOtherSeries(db2, "MA", 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,11 +357,11 @@ func TestPipelineExactVsApproxConsistency(t *testing.T) {
 		{"cbf-bell-01", 0, 8},
 		{"cbf-funnel-02", 12, 12},
 	} {
-		ma, err := approx.BestMatchForSeries(probe.name, probe.start, probe.l)
+		ma, err := bestForSeries(approx, probe.name, probe.start, probe.l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		me, err := exact.BestMatchForSeries(probe.name, probe.start, probe.l)
+		me, err := bestForSeries(exact, probe.name, probe.start, probe.l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,4 +369,30 @@ func TestPipelineExactVsApproxConsistency(t *testing.T) {
 			t.Fatalf("%s: exact %g worse than approx %g", probe.name, me.Dist, ma.Dist)
 		}
 	}
+}
+
+// bestForSeries finds the window most similar to series[start:start+length)
+// outside the query's own overlapping windows.
+func bestForSeries(db *onex.DB, series string, start, length int) (onex.Match, error) {
+	return bestMatch(db, onex.Query{
+		Window:  onex.Window{Series: series, Start: start, Length: length},
+		Exclude: onex.Exclude{Self: true},
+	})
+}
+
+// bestOtherSeries finds the window most similar to
+// series[start:start+length) in any other series.
+func bestOtherSeries(db *onex.DB, series string, start, length int) (onex.Match, error) {
+	return bestMatch(db, onex.Query{
+		Window:  onex.Window{Series: series, Start: start, Length: length},
+		Exclude: onex.Exclude{Series: []string{series}},
+	})
+}
+
+func bestMatch(db *onex.DB, q onex.Query) (onex.Match, error) {
+	res, err := db.Find(context.Background(), q)
+	if err != nil {
+		return onex.Match{}, err
+	}
+	return res.Matches[0], nil
 }

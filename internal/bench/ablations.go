@@ -130,7 +130,7 @@ func RunA2(seed int64) ([]A2Row, error) {
 		for _, q := range queries {
 			var m core.Match
 			tm.Time(func() {
-				m, err = engine.BestMatch(q)
+				m, err = bestMatch(engine, q)
 			})
 			if err != nil {
 				return nil, err

@@ -16,6 +16,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -24,8 +25,18 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ts"
 )
+
+// bestMatch runs a top-1 Find under the engine's configured options.
+func bestMatch(e *core.Engine, q []float64) (core.Match, error) {
+	res, err := e.Find(context.Background(), q, core.FindOptions{Options: e.Options(), K: 1})
+	if err != nil {
+		return core.Match{}, err
+	}
+	return res.Matches[0], nil
+}
 
 // Timer measures wall-clock durations of repeated operations, retaining
 // per-operation samples so tail latency is reportable (interactivity is a

@@ -123,7 +123,7 @@ func runE2One(cfg E2Config, d *ts.Dataset) (E2Row, error) {
 		if err != nil {
 			return E2Row{}, err
 		}
-		om, err := engine.BestMatch(q)
+		om, err := bestMatch(engine, q)
 		if err != nil {
 			return E2Row{}, err
 		}

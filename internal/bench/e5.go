@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -91,9 +92,9 @@ func runE5One(cfg E5Config, days int) (E5Row, error) {
 	var pats []core.Pattern
 	qt := &Timer{}
 	qt.Time(func() {
-		pats, err = engine.SeasonalByIndex(0, core.SeasonalOptions{
+		pats, err = engine.SeasonalByIndex(context.Background(), 0, core.SeasonalOptions{
 			MinLength: period, MaxLength: period, MinOccurrences: 3, MaxPatterns: 8,
-		})
+		}, nil)
 	})
 	if err != nil {
 		return E5Row{}, err

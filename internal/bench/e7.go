@@ -107,7 +107,7 @@ func runE7One(cfg E7Config, name string, train, test *ts.Dataset) (E7Row, error)
 
 		var om core.Match
 		onexT.Time(func() {
-			om, err = engine.BestMatch(q)
+			om, err = bestMatch(engine, q)
 		})
 		if err != nil {
 			return E7Row{}, err

@@ -116,31 +116,31 @@ func TestAnalyticsPreCancelled(t *testing.T) {
 	cancel()
 	for label, run := range map[string]func() error{
 		"seasonal": func() error {
-			_, err := e.SeasonalByIndexContext(ctx, 0, SeasonalOptions{}, nil)
+			_, err := e.SeasonalByIndex(ctx, 0, SeasonalOptions{}, nil)
 			return err
 		},
 		"common": func() error {
-			_, err := e.CommonPatternsContext(ctx, CommonOptions{}, nil)
+			_, err := e.CommonPatterns(ctx, CommonOptions{}, nil)
 			return err
 		},
 		"sweep": func() error {
-			_, err := e.SimilaritySweepContext(ctx, q, []float64{0.5}, QueryConstraints{}, e.Options(), nil)
+			_, err := e.SimilaritySweep(ctx, q, []float64{0.5}, QueryConstraints{}, e.Options(), nil)
 			return err
 		},
 		"overview": func() error {
-			_, err := e.OverviewContext(ctx, 0, 4, nil)
+			_, err := e.Overview(ctx, 0, 4, nil)
 			return err
 		},
 		"members": func() error {
-			_, err := e.GroupMembersContext(ctx, GroupRef{Length: 8, Index: 0}, nil)
+			_, err := e.GroupMembers(ctx, GroupRef{Length: 8, Index: 0}, nil)
 			return err
 		},
 		"lengths": func() error {
-			_, err := e.LengthSummariesContext(ctx, nil)
+			_, err := e.LengthSummaries(ctx, nil)
 			return err
 		},
 		"recommend": func() error {
-			_, err := RecommendThresholdsContext(ctx, d, ThresholdOptions{})
+			_, _, err := SampleDistances(ctx, d, ThresholdOptions{})
 			return err
 		},
 	} {
@@ -161,17 +161,17 @@ func TestAnalyticsCancelWithinOneRound(t *testing.T) {
 	q := d.Series[0].Values[0:24]
 	for label, run := range map[string]func(ctx context.Context) error{
 		"seasonal": func(ctx context.Context) error {
-			_, err := e.SeasonalByIndexContext(ctx, 0, SeasonalOptions{Workers: 1}, nil)
+			_, err := e.SeasonalByIndex(ctx, 0, SeasonalOptions{Workers: 1}, nil)
 			return err
 		},
 		"common": func(ctx context.Context) error {
-			_, err := e.CommonPatternsContext(ctx, CommonOptions{Workers: 1}, nil)
+			_, err := e.CommonPatterns(ctx, CommonOptions{Workers: 1}, nil)
 			return err
 		},
 		"sweep": func(ctx context.Context) error {
 			opts := e.Options()
 			opts.Workers = 1
-			_, err := e.SimilaritySweepContext(ctx, q, []float64{0.5}, QueryConstraints{}, opts, nil)
+			_, err := e.SimilaritySweep(ctx, q, []float64{0.5}, QueryConstraints{}, opts, nil)
 			return err
 		},
 	} {
@@ -193,7 +193,7 @@ func TestAnalyticsCancelWithinOneRound(t *testing.T) {
 func TestSeasonalStatsAccumulate(t *testing.T) {
 	_, e := cancelWorld(t)
 	var st SearchStats
-	if _, err := e.SeasonalByIndexContext(context.Background(), 0, SeasonalOptions{}, &st); err != nil {
+	if _, err := e.SeasonalByIndex(context.Background(), 0, SeasonalOptions{}, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Groups != e.Base().NumGroups() {

@@ -41,7 +41,7 @@ type CommonOptions struct {
 	// MaxPatterns caps the result list (default 16).
 	MaxPatterns int
 	// Workers bounds the worker pool the group scan is sharded across
-	// (values < 1 select GOMAXPROCS, 1 forces the serial path). The mine is
+	// (values < 1 select GOMAXPROCS, 1 runs it inline). The mine is
 	// a pure read of the base, so results and statistics are identical at
 	// every worker count.
 	Workers int
@@ -50,18 +50,12 @@ type CommonOptions struct {
 // CommonPatterns finds shapes shared across series, ranked by the number
 // of distinct series spanned (descending), then by total cardinality. No
 // distance computation is needed: the base already encodes the mutual
-// similarity, so this is a pure scan of group membership.
-func (e *Engine) CommonPatterns(opts CommonOptions) []CommonPattern {
-	pats, _ := e.CommonPatternsContext(context.Background(), opts, nil)
-	return pats
-}
-
-// CommonPatternsContext is CommonPatterns with cancellation and statistics:
-// the context is checked once per group and every ctxCheckStride members
-// (the per-member representative-ED scan is the expensive part), so a
-// cancelled mine aborts within one pruning round with ctx.Err(). st, when
-// non-nil, accumulates the groups and members visited.
-func (e *Engine) CommonPatternsContext(ctx context.Context, opts CommonOptions, st *SearchStats) ([]CommonPattern, error) {
+// similarity, so this is a pure scan of group membership. The context is
+// checked once per group and every ctxCheckStride members (the per-member
+// representative-ED scan is the expensive part), so a cancelled mine
+// aborts within one pruning round with ctx.Err(). st, when non-nil,
+// accumulates the groups and members visited.
+func (e *Engine) CommonPatterns(ctx context.Context, opts CommonOptions, st *SearchStats) ([]CommonPattern, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -100,13 +94,11 @@ func (e *Engine) CommonPatternsContext(ctx context.Context, opts CommonOptions, 
 			jobs = append(jobs, job{l: l, gi: gi, g: g})
 		}
 	}
-	// mineGroup reduces one group to its per-series exemplars; st may be a
-	// worker-local accumulator.
+	// mineGroup reduces one group to its per-series exemplars, counting
+	// into the worker's st.
 	mineGroup := func(j job, st *SearchStats) (CommonPattern, bool, error) {
-		if st != nil {
-			st.Groups++
-			st.Members += len(j.g.Members)
-		}
+		st.Groups++
+		st.Members += len(j.g.Members)
 		perSeries := map[int]ts.SubSeq{}
 		perSeriesD := map[int]float64{}
 		for mi, m := range j.g.Members {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -23,20 +24,23 @@ func TestConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				q := queries[(w+i)%len(queries)]
-				if _, err := e.BestMatch(q); err != nil {
+				if _, err := bestMatch(e, q, QueryConstraints{}); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := e.KBestMatches(q, 3); err != nil {
+				if _, err := kBest(e, q, 3, QueryConstraints{}); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := e.WithinThreshold(q, RangeOptions{MaxDist: 0.5, Limit: 5}); err != nil {
+				if _, err := within(e, q, RangeOptions{MaxDist: 0.5, Limit: 5}); err != nil {
 					errs <- err
 					return
 				}
-				_ = e.Overview(6, 4)
-				if _, err := e.SeasonalByIndex(0, SeasonalOptions{MinOccurrences: 2}); err != nil {
+				if _, err := e.Overview(context.Background(), 6, 4, nil); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := e.SeasonalByIndex(context.Background(), 0, SeasonalOptions{MinOccurrences: 2}, nil); err != nil {
 					errs <- err
 					return
 				}

@@ -72,9 +72,9 @@ type Options struct {
 	LengthNorm bool
 	// Workers bounds the worker pool one search may shard its group scans
 	// across (representative scoring, member refinement, range scans).
-	// Values < 1 select GOMAXPROCS; 1 forces the serial code paths. Small
-	// scans stay serial regardless — see parallel.go for the thresholds and
-	// the determinism contract.
+	// Values < 1 select GOMAXPROCS; 1 runs every scan as one shard, inline.
+	// Small scans get one worker regardless — see parallel.go for the
+	// thresholds.
 	Workers int
 }
 
@@ -151,18 +151,12 @@ type GroupSummary struct {
 
 // Overview returns the top-k groups of one length by cardinality
 // (k <= 0 means all). Length 0 selects the base length with the largest
-// membership, mirroring the demo's default landing view.
-func (e *Engine) Overview(length, k int) []GroupSummary {
-	sums, _ := e.OverviewContext(context.Background(), length, k, nil)
-	return sums
-}
-
-// OverviewContext is Overview with cancellation and statistics: the context
-// is checked once per length during auto-selection and once per returned
+// membership, mirroring the demo's default landing view. The context is
+// checked once per length during auto-selection and once per returned
 // group (each MaxRadius computation scans the group's members), so a
 // cancelled walk aborts within one round with ctx.Err(). st, when non-nil,
 // accumulates the groups and members visited.
-func (e *Engine) OverviewContext(ctx context.Context, length, k int, st *SearchStats) ([]GroupSummary, error) {
+func (e *Engine) Overview(ctx context.Context, length, k int, st *SearchStats) ([]GroupSummary, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -212,41 +206,6 @@ func (e *Engine) OverviewContext(ctx context.Context, length, k int, st *SearchS
 	return out, nil
 }
 
-// OverviewAll returns the top-k groups across every indexed length by
-// cardinality — the landing view when no length is selected gives the
-// data's dominant shapes regardless of scale.
-func (e *Engine) OverviewAll(k int) []GroupSummary {
-	var all []GroupSummary
-	for _, l := range e.base.Lengths() {
-		//onex:nopoll context-free legacy wrapper (PR 3 keeps the signature); O(1) append per group, MaxRadius scans only the returned k
-		for i, g := range e.base.GroupsOfLength(l) {
-			all = append(all, GroupSummary{
-				Group: GroupRef{Length: l, Index: i},
-				Count: g.Count(),
-				Rep:   g.Rep,
-			})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		if all[i].Group.Length != all[j].Group.Length {
-			return all[i].Group.Length > all[j].Group.Length
-		}
-		return all[i].Group.Index < all[j].Group.Index
-	})
-	if k > 0 && len(all) > k {
-		all = all[:k]
-	}
-	// MaxRadius only for the returned set (it scans members).
-	for i := range all {
-		g := e.base.GroupsOfLength(all[i].Group.Length)[all[i].Group.Index]
-		all[i].MaxRadius = g.MaxRadius(e.ds)
-	}
-	return all
-}
-
 // MemberInfo describes one group member for the drill-down view: the demo
 // lets the analyst click an overview tile and scroll through the group's
 // sequences (Fig 2's query selection pane).
@@ -262,16 +221,11 @@ type MemberInfo struct {
 }
 
 // GroupMembers returns the members of one group, nearest-to-representative
-// first. It errors on a dangling reference.
-func (e *Engine) GroupMembers(ref GroupRef) ([]MemberInfo, error) {
-	return e.GroupMembersContext(context.Background(), ref, nil)
-}
-
-// GroupMembersContext is GroupMembers with cancellation and statistics: the
-// context is checked every ctxCheckStride members (each member costs one
-// representative ED), so a cancelled drill-down aborts within one round
-// with ctx.Err(). st, when non-nil, accumulates the visit counts.
-func (e *Engine) GroupMembersContext(ctx context.Context, ref GroupRef, st *SearchStats) ([]MemberInfo, error) {
+// first. It errors on a dangling reference. The context is checked every
+// ctxCheckStride members (each member costs one representative ED), so a
+// cancelled drill-down aborts within one round with ctx.Err(). st, when
+// non-nil, accumulates the visit counts.
+func (e *Engine) GroupMembers(ctx context.Context, ref GroupRef, st *SearchStats) ([]MemberInfo, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -316,16 +270,10 @@ type LengthSummary struct {
 }
 
 // LengthSummaries returns the base's per-length shape, ascending by length.
-func (e *Engine) LengthSummaries() []LengthSummary {
-	sums, _ := e.LengthSummariesContext(context.Background(), nil)
-	return sums
-}
-
-// LengthSummariesContext is LengthSummaries with cancellation and
-// statistics: the context is checked once per indexed length, so a
-// cancelled walk aborts within one round with ctx.Err(). st, when non-nil,
-// accumulates the groups and members visited.
-func (e *Engine) LengthSummariesContext(ctx context.Context, st *SearchStats) ([]LengthSummary, error) {
+// The context is checked once per indexed length, so a cancelled walk
+// aborts within one round with ctx.Err(). st, when non-nil, accumulates the
+// groups and members visited.
+func (e *Engine) LengthSummaries(ctx context.Context, st *SearchStats) ([]LengthSummary, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strconv"
@@ -67,7 +68,7 @@ func TestBestMatchSelfQueryFindsItself(t *testing.T) {
 	d, e := newTestWorld(t, 5, 30, 0.1, 5, 10, ModeApprox, -1)
 	// A query copied from the dataset must be matched at distance 0.
 	q := d.Series[2].Values[3:10] // length 7, in range
-	m, err := e.BestMatch(q)
+	m, err := bestMatch(e, q, QueryConstraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +84,14 @@ func TestBestMatchExcludesOverlap(t *testing.T) {
 	d, e := newTestWorld(t, 5, 30, 0.1, 5, 10, ModeApprox, -1)
 	self := ts.SubSeq{Series: 2, Start: 3, Length: 7}
 	q := self.Values(d)
-	m, err := e.BestMatchConstrained(q, QueryConstraints{ExcludeOverlap: self})
+	m, err := bestMatch(e, q, QueryConstraints{ExcludeOverlap: self})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Ref.Overlaps(self) {
 		t.Fatalf("excluded overlap returned: %+v", m.Ref)
 	}
-	m2, err := e.BestMatchConstrained(q, QueryConstraints{ExcludeSeries: map[int]bool{2: true}})
+	m2, err := bestMatch(e, q, QueryConstraints{ExcludeSeries: map[int]bool{2: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestBestMatchExcludesOverlap(t *testing.T) {
 func TestKBestOrderingAndUniqueness(t *testing.T) {
 	_, e := newTestWorld(t, 6, 30, 0.1, 5, 10, ModeApprox, -1)
 	q := []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7}
-	ms, err := e.KBestMatches(q, 5)
+	ms, err := kBest(e, q, 5, QueryConstraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +127,45 @@ func TestKBestOrderingAndUniqueness(t *testing.T) {
 
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// overview runs Overview without cancellation or statistics.
+func overview(t testing.TB, e *Engine, length, k int) []GroupSummary {
+	t.Helper()
+	sums, err := e.Overview(context.Background(), length, k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums
+}
+
+// kBest runs a top-k Find under the engine's configured options.
+func kBest(e *Engine, q []float64, k int, c QueryConstraints) ([]Match, error) {
+	res, err := e.Find(context.Background(), q, FindOptions{Options: e.Options(), K: k, Constraints: c})
+	return res.Matches, err
+}
+
+// bestMatch is kBest with k = 1.
+func bestMatch(e *Engine, q []float64, c QueryConstraints) (Match, error) {
+	ms, err := kBest(e, q, 1, c)
+	if err != nil {
+		return Match{}, err
+	}
+	return ms[0], nil
+}
+
+// within runs a range Find under the engine's configured options.
+func within(e *Engine, q []float64, ro RangeOptions) ([]Match, error) {
+	res, err := e.Find(context.Background(), q, FindOptions{
+		Options: e.Options(), Range: true, MaxDist: ro.MaxDist, K: ro.Limit, Constraints: ro.Constraints,
+	})
+	return res.Matches, err
+}
+
 func TestQueryValidation(t *testing.T) {
 	_, e := newTestWorld(t, 4, 24, 0.1, 4, 8, ModeApprox, -1)
-	if _, err := e.BestMatch([]float64{1}); err == nil {
+	if _, err := bestMatch(e, []float64{1}, QueryConstraints{}); err == nil {
 		t.Fatal("length-1 query accepted")
 	}
-	if _, err := e.KBestMatches([]float64{1, 2, 3}, 0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := e.BestMatchConstrained([]float64{1, 2, 3},
+	if _, err := bestMatch(e, []float64{1, 2, 3},
 		QueryConstraints{MinLength: 100, MaxLength: 200}); err != ErrNoMatch {
 		t.Fatal("impossible length constraints should yield ErrNoMatch")
 	}
@@ -143,7 +174,7 @@ func TestQueryValidation(t *testing.T) {
 func TestLengthConstraintsHonored(t *testing.T) {
 	_, e := newTestWorld(t, 5, 30, 0.1, 5, 10, ModeApprox, -1)
 	q := []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
-	ms, err := e.KBestMatchesConstrained(q, 3, QueryConstraints{MinLength: 6, MaxLength: 6})
+	ms, err := kBest(e, q, 3, QueryConstraints{MinLength: 6, MaxLength: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +200,7 @@ func TestPropertyExactModeEqualsBruteForce(t *testing.T) {
 				v += rng.NormFloat64() * 0.08
 				q[i] = v
 			}
-			got, err := e.BestMatch(q)
+			got, err := bestMatch(e, q, QueryConstraints{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +236,7 @@ func TestApproxModeReturnsConsistentMatch(t *testing.T) {
 			v += rng.NormFloat64() * 0.08
 			q[i] = v
 		}
-		got, err := e.BestMatch(q)
+		got, err := bestMatch(e, q, QueryConstraints{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +263,7 @@ func TestApproxModeReturnsConsistentMatch(t *testing.T) {
 
 func TestOverview(t *testing.T) {
 	_, e := newTestWorld(t, 6, 30, 0.1, 5, 10, ModeApprox, -1)
-	ov := e.Overview(6, 4)
+	ov := overview(t, e, 6, 4)
 	if len(ov) == 0 {
 		t.Fatal("empty overview")
 	}
@@ -251,18 +282,21 @@ func TestOverview(t *testing.T) {
 		}
 	}
 	// Length 0 auto-selects.
-	if ov0 := e.Overview(0, 3); len(ov0) == 0 {
+	if ov0 := overview(t, e, 0, 3); len(ov0) == 0 {
 		t.Fatal("auto-length overview empty")
 	}
 	// k<=0 returns all.
-	if all := e.Overview(6, 0); len(all) < len(ov) {
+	if all := overview(t, e, 6, 0); len(all) < len(ov) {
 		t.Fatal("k=0 should return all groups")
 	}
 }
 
 func TestLengthSummaries(t *testing.T) {
 	d, e := newTestWorld(t, 5, 30, 0.1, 5, 8, ModeApprox, -1)
-	ls := e.LengthSummaries()
+	ls, err := e.LengthSummaries(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ls) != 4 {
 		t.Fatalf("summaries = %d lengths, want 4", len(ls))
 	}

@@ -1,17 +1,18 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
 func TestGroupMembersDrillDown(t *testing.T) {
 	d, e := newTestWorld(t, 5, 30, 0.1, 5, 8, ModeApprox, -1)
-	ov := e.Overview(6, 3)
+	ov := overview(t, e, 6, 3)
 	if len(ov) == 0 {
 		t.Fatal("no overview groups")
 	}
 	for _, gs := range ov {
-		members, err := e.GroupMembers(gs.Group)
+		members, err := e.GroupMembers(context.Background(), gs.Group, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,42 +40,15 @@ func TestGroupMembersDrillDown(t *testing.T) {
 	}
 }
 
-func TestOverviewAll(t *testing.T) {
-	d, e := newTestWorld(t, 5, 30, 0.1, 5, 8, ModeApprox, -1)
-	all := e.OverviewAll(10)
-	if len(all) == 0 || len(all) > 10 {
-		t.Fatalf("overview size %d", len(all))
-	}
-	lengths := map[int]bool{}
-	for i, gs := range all {
-		if i > 0 && all[i-1].Count < gs.Count {
-			t.Fatal("not sorted by cardinality")
-		}
-		if gs.MaxRadius > e.Base().HalfST(gs.Group.Length)+1e-9 {
-			t.Fatal("radius exceeds invariant")
-		}
-		lengths[gs.Group.Length] = true
-		// The ref must resolve.
-		if _, err := e.GroupMembers(gs.Group); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = d
-	// k <= 0 returns everything.
-	if len(e.OverviewAll(0)) != e.Base().NumGroups() {
-		t.Fatal("k=0 should return all groups")
-	}
-}
-
 func TestGroupMembersErrors(t *testing.T) {
 	_, e := newTestWorld(t, 4, 24, 0.1, 4, 6, ModeApprox, -1)
-	if _, err := e.GroupMembers(GroupRef{Length: 5, Index: -1}); err == nil {
+	if _, err := e.GroupMembers(context.Background(), GroupRef{Length: 5, Index: -1}, nil); err == nil {
 		t.Fatal("negative index accepted")
 	}
-	if _, err := e.GroupMembers(GroupRef{Length: 5, Index: 1 << 20}); err == nil {
+	if _, err := e.GroupMembers(context.Background(), GroupRef{Length: 5, Index: 1 << 20}, nil); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
-	if _, err := e.GroupMembers(GroupRef{Length: 999, Index: 0}); err == nil {
+	if _, err := e.GroupMembers(context.Background(), GroupRef{Length: 999, Index: 0}, nil); err == nil {
 		t.Fatal("unknown length accepted")
 	}
 }

@@ -5,42 +5,31 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dist"
 	"repro/internal/grouping"
 )
 
 // Parallel execution layer for the online search path. Every group scan the
-// engine runs — representative scoring, member refinement, range scans, and
-// the seasonal / common-pattern mines — can shard its work across a bounded
-// worker pool, sized per call by Options.Workers (and its analytics
-// equivalents).
+// engine runs — representative scoring, tail resolution, member refinement,
+// range scans, and the seasonal / common-pattern mines — is written once,
+// as a sharded loop: worker w of W takes items w, w+W, w+2W, … and keeps its
+// own statistics and its own pruning bound, and the shards merge in worker
+// order at the barrier. Workers = 1 is the one-shard case, run inline on the
+// calling goroutine. The worker count depends only on Options.Workers (or its
+// analytics equivalents) and the input size; docs/ARCHITECTURE.md
+// ("Determinism contract") states what that guarantees.
 //
-// The determinism contract, enforced by tests:
-//
-//   - Workers = 1 takes the exact serial code paths, so results and
-//     statistics are identical to a single-threaded engine.
-//   - The result set (matches, patterns, sweep counts) is identical at
-//     every worker count. Accumulators break score ties by subsequence
-//     identity, so even the order is stable.
-//   - Groups, GroupsRefined, and Members are identical at every worker
-//     count. The pruned/DTW split (GroupsLBPruned, RepDTW, MemberDTW) can
-//     shift slightly at Workers > 1 because the shared best-so-far bound
-//     tightens in scheduling order; the totals still reconcile
-//     (GroupsLBPruned + GroupsRefined <= Groups).
-//
-// Cancellation: each worker polls ctx.Err() once per group it scores and
-// every ctxCheckStride members it refines, so a cancelled parallel scan
-// aborts within one pruning round per worker.
+// Cancellation: each worker polls ctx.Err() once per group it scans and
+// every ctxCheckStride members it refines, so a cancelled scan aborts within
+// one pruning round per worker.
 
 const (
-	// minParallelGroups is the smallest group-scan fan-out worth a worker
-	// pool; below it the dispatch overhead dwarfs the per-group work and the
-	// serial path is used regardless of Options.Workers.
+	// minParallelGroups is the smallest group scan that gets more than one
+	// worker; below it the dispatch overhead dwarfs the per-group work.
 	minParallelGroups = 64
-	// minParallelMembers is the smallest member scan worth sharding across
-	// workers inside one group's refinement.
+	// minParallelMembers is the smallest member scan (one group, or one
+	// exact-mode wave) that gets more than one worker.
 	minParallelMembers = 256
 	// exactWave is how many surviving groups one exact-mode refinement wave
 	// holds. It is a constant — never derived from the worker count — so
@@ -66,20 +55,46 @@ func resolveWorkers(requested, n int) int {
 	return w
 }
 
-// runWorkers runs fn(0) … fn(workers-1) concurrently and returns the first
-// error by worker index. Workers observe cancellation through their own
-// ctx polling, so a failed sibling never leaves the pool stuck.
-func runWorkers(workers int, fn func(w int) error) error {
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = fn(w)
-		}(w)
+// poolSize is the worker count for a scan of n items: one below the scan's
+// minimum parallel size, the resolved Workers knob otherwise.
+func poolSize(requested, n, minParallel int) int {
+	if n < minParallel {
+		return 1
 	}
-	wg.Wait()
+	return resolveWorkers(requested, n)
+}
+
+// shard runs fn for workers 0 … workers-1 — inline when there is one, on
+// one goroutine each otherwise — and gives every worker its own statistics
+// block, merged into st (when non-nil) in worker order at the barrier. It
+// returns the first error by worker index; the siblings of a failed worker
+// stop at their own next ctx poll.
+func shard(workers int, st *SearchStats, fn func(w int, st *SearchStats) error) error {
+	locals := make([]SearchStats, workers)
+	errs := make([]error, workers)
+	run := func(w int) {
+		var local SearchStats
+		errs[w] = fn(w, &local)
+		locals[w] = local
+	}
+	if workers == 1 {
+		run(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				run(w)
+			}(w)
+		}
+		wg.Wait()
+	}
+	if st != nil {
+		for _, local := range locals {
+			st.add(local)
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -88,63 +103,32 @@ func runWorkers(workers int, fn func(w int) error) error {
 	return nil
 }
 
-// sharedKth is the cross-worker k-th-best representative score: a mutex-
-// guarded kthTracker fed by every worker, with the current bound mirrored
-// into an atomic so the hot pruning path reads it lock-free. The bound is
-// monotonically non-increasing and always >= the final global k-th best,
-// so early-abandon pruning against it stays sound while tightening across
-// workers. Offers only happen for finite (unpruned) scores, so contention
-// stays far below the group count.
-type sharedKth struct {
-	mu    sync.Mutex
-	kth   *kthTracker
-	bound atomic.Uint64 // float bits of the current k-th best score
-}
-
-func newSharedKth(k int) *sharedKth {
-	s := &sharedKth{kth: newKthTracker(k)}
-	s.bound.Store(math.Float64bits(math.Inf(1)))
-	return s
-}
-
-func (s *sharedKth) load() float64 { return math.Float64frombits(s.bound.Load()) }
-
-func (s *sharedKth) offer(v float64) {
-	s.mu.Lock()
-	s.kth.offer(v)
-	s.bound.Store(math.Float64bits(s.kth.bound()))
-	s.mu.Unlock()
-}
-
-// sharedTopK guards a topK for concurrent offers during parallel member
-// refinement. The worst-score bound is mirrored into an atomic so the hot
-// LB cascade reads it without taking the mutex; it is always >= the final
-// worst score, so pruning against a stale value stays sound.
-type sharedTopK struct {
-	mu    sync.Mutex
-	top   *topK
-	worst atomic.Uint64 // score bits; +Inf until the accumulator fills
-}
-
-func newSharedTopK(top *topK) *sharedTopK {
-	s := &sharedTopK{top: top}
-	w := math.Inf(1)
-	if top.full() {
-		w = top.worst().Score
+// shardTopK is shard for scans that offer matches into top. Each worker
+// offers into its own topK seeded from top, whose worst score is that
+// worker's pruning bound, and the shards merge into top in worker order at
+// the barrier. A worker's bound is never below the merged one, so pruning
+// against it is sound, and the merged accumulator is the top-k of
+// everything offered at any worker count. The one-shard case offers into
+// top directly.
+func shardTopK(workers int, top *topK, st *SearchStats, fn func(w int, top *topK, st *SearchStats) error) error {
+	locals := make([]*topK, workers)
+	for w := range locals {
+		locals[w] = top
+		if workers > 1 {
+			locals[w] = top.clone()
+		}
 	}
-	s.worst.Store(math.Float64bits(w))
-	return s
-}
-
-func (s *sharedTopK) boundScore() float64 { return math.Float64frombits(s.worst.Load()) }
-
-func (s *sharedTopK) offer(m Match) {
-	s.mu.Lock()
-	s.top.offer(m)
-	if s.top.full() {
-		s.worst.Store(math.Float64bits(s.top.worst().Score))
+	err := shard(workers, st, func(w int, st *SearchStats) error {
+		return fn(w, locals[w], st)
+	})
+	if workers > 1 {
+		for _, local := range locals {
+			for _, m := range local.ms {
+				top.offer(m)
+			}
+		}
 	}
-	s.mu.Unlock()
+	return err
 }
 
 // repScoreJob is one group to score plus the per-length precomputation
@@ -156,9 +140,8 @@ type repScoreJob struct {
 	qU, qL []float64
 }
 
-// flattenGroups lists every candidate group of the given lengths in the
-// deterministic serial scan order, computing the query envelope once per
-// length.
+// flattenGroups lists every candidate group of the given lengths in scan
+// order, computing the query envelope once per length.
 func (e *Engine) flattenGroups(q []float64, lengths []int, opts Options) []repScoreJob {
 	var jobs []repScoreJob
 	for _, l := range lengths {
@@ -176,30 +159,52 @@ func (e *Engine) flattenGroups(q []float64, lengths []int, opts Options) []repSc
 	return jobs
 }
 
+// scoreRepresentatives computes DTW(query, representative) for every group
+// of the candidate lengths, with an LB_Kim + LB_Keogh + early-abandon
+// cascade against the worker's running k-th best representative score.
+// Groups whose representative provably cannot enter the worker's top-k —
+// and so not the global one — are returned with repDist = +Inf. The
+// candidates come back in scan order whatever the worker count.
+func (e *Engine) scoreRepresentatives(ctx context.Context, q []float64, k int, lengths []int, opts Options, st *SearchStats) ([]repCandidate, error) {
+	jobs := e.flattenGroups(q, lengths, opts)
+	cands := make([]repCandidate, len(jobs))
+	workers := poolSize(opts.Workers, len(jobs), minParallelGroups)
+	err := shard(workers, st, func(w int, st *SearchStats) error {
+		// kth is this shard's k-th best representative score; the raw
+		// abandon bound per job is score bound * norm.
+		kth := newKthTracker(k)
+		for i := w; i < len(jobs); i += workers {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			job := jobs[i]
+			repDist := scoreJob(q, job, kth.bound()*job.norm, opts.Band, st)
+			score := repDist / job.norm
+			if !math.IsInf(repDist, 1) {
+				kth.offer(score)
+			}
+			cands[i] = repCandidate{ref: job.ref, g: job.g, repDist: repDist, repScore: score, norm: job.norm}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cands, nil
+}
+
 // scoreJob runs the LB_Kim -> LB_Keogh -> early-abandon-DTW cascade for one
-// representative against the raw-distance bound ub, updating st (which may
-// be a worker-local accumulator).
+// representative against the raw-distance bound ub, counting into the
+// worker's st.
 func scoreJob(q []float64, job repScoreJob, ub float64, band int, st *SearchStats) (repDist float64) {
-	if st != nil {
-		st.Groups++
-	}
-	if dist.LBKim(q, job.g.Rep) > ub {
-		if st != nil {
-			st.GroupsLBPruned++
-		}
+	st.Groups++
+	if dist.LBKim(q, job.g.Rep) > ub || dist.LBKeogh(job.g.Rep, job.qU, job.qL, ub) > ub {
+		st.GroupsLBPruned++
 		return math.Inf(1)
 	}
-	if dist.LBKeogh(job.g.Rep, job.qU, job.qL, ub) > ub {
-		if st != nil {
-			st.GroupsLBPruned++
-		}
-		return math.Inf(1)
-	}
-	if st != nil {
-		st.RepDTW++
-	}
+	st.RepDTW++
 	repDist = dist.DTWEarlyAbandon(q, job.g.Rep, band, ub)
-	if st != nil && math.IsInf(repDist, 1) {
+	if math.IsInf(repDist, 1) {
 		// Abandoned against the k-th best bound: the group is pruned exactly
 		// like an LB rejection (and un-counted if a fallback later recomputes
 		// it).
@@ -208,62 +213,11 @@ func scoreJob(q []float64, job repScoreJob, ub float64, band int, st *SearchStat
 	return repDist
 }
 
-// scoreRepsParallel shards the group list across a worker pool. Each worker
-// keeps local statistics, merged at the barrier; a shared atomic
-// best-so-far bound (the global k-th best score seen by any worker) lets
-// early-abandon pruning tighten across workers. Worker w scores jobs w,
-// w+workers, w+2*workers, … and the shards are stitched back by index, so
-// the returned candidate order matches the serial scan exactly.
-func (e *Engine) scoreRepsParallel(ctx context.Context, q []float64, k int, jobs []repScoreJob, opts Options, st *SearchStats, workers int) ([]repCandidate, error) {
-	shared := newSharedKth(k) // normalized score units
-	locals := make([]SearchStats, workers)
-	// Workers score interleaved shards (job i -> worker i % workers) for
-	// load balance, but accumulate into worker-local buffers — writing
-	// adjacent entries of one shared slice from different cores would
-	// false-share cache lines on every job.
-	buffers := make([][]repCandidate, workers)
-	err := runWorkers(workers, func(w int) error {
-		var local SearchStats
-		buf := make([]repCandidate, 0, (len(jobs)+workers-1)/workers)
-		for i := w; i < len(jobs); i += workers {
-			if err := ctx.Err(); err != nil {
-				locals[w], buffers[w] = local, buf
-				return err
-			}
-			job := jobs[i]
-			repDist := scoreJob(q, job, shared.load()*job.norm, opts.Band, &local)
-			score := repDist / job.norm
-			if !math.IsInf(repDist, 1) {
-				shared.offer(score)
-			}
-			buf = append(buf, repCandidate{ref: job.ref, g: job.g, repDist: repDist, repScore: score, norm: job.norm})
-		}
-		locals[w], buffers[w] = local, buf
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if st != nil {
-		for _, local := range locals {
-			st.add(local)
-		}
-	}
-	// Stitch the shards back into the serial scan order.
-	cands := make([]repCandidate, len(jobs))
-	for w, buf := range buffers {
-		for j, cand := range buf {
-			cands[w+j*workers] = cand
-		}
-	}
-	return cands, nil
-}
-
 // resolveCandidates recomputes the representative distance of every
-// LB-pruned (repDist = +Inf) candidate in cands, in parallel when the tail
-// is large, so the caller can continue walking groups in true
-// representative-score order. Each recompute un-counts the earlier prune,
-// keeping GroupsLBPruned and GroupsRefined disjoint.
+// LB-pruned (repDist = +Inf) candidate in cands, so the caller can continue
+// walking groups in true representative-score order. Each recompute
+// un-counts the earlier prune, keeping GroupsLBPruned and GroupsRefined
+// disjoint.
 func (e *Engine) resolveCandidates(ctx context.Context, q []float64, cands []repCandidate, opts Options, st *SearchStats) error {
 	var idx []int
 	for i := range cands {
@@ -271,147 +225,106 @@ func (e *Engine) resolveCandidates(ctx context.Context, q []float64, cands []rep
 			idx = append(idx, i)
 		}
 	}
-	if len(idx) == 0 {
-		return nil
-	}
 	if st != nil {
 		st.GroupsLBPruned -= len(idx)
 		st.RepDTW += len(idx)
 	}
-	workers := resolveWorkers(opts.Workers, len(idx))
-	recompute := func(i int) {
-		cands[i].repDist = dist.DTWBanded(q, cands[i].g.Rep, opts.Band)
-		cands[i].repScore = cands[i].repDist / cands[i].norm
-	}
-	if workers <= 1 || len(idx) < minParallelGroups {
-		for _, i := range idx {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			recompute(i)
-		}
-		return nil
-	}
-	return runWorkers(workers, func(w int) error {
+	workers := poolSize(opts.Workers, len(idx), minParallelGroups)
+	return shard(workers, nil, func(w int, _ *SearchStats) error {
 		for j := w; j < len(idx); j += workers {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			recompute(idx[j])
+			c := &cands[idx[j]]
+			c.repDist = dist.DTWBanded(q, c.g.Rep, opts.Band)
+			c.repScore = c.repDist / c.norm
 		}
 		return nil
 	})
 }
 
-// refine dispatches one group's member scan to the serial or parallel
-// implementation. The choice depends only on the member count and the
-// Workers knob, never on scheduling, so the refined set stays deterministic.
-func (e *Engine) refine(ctx context.Context, q []float64, cand repCandidate, c QueryConstraints, top *topK, opts Options, st *SearchStats) error {
-	workers := resolveWorkers(opts.Workers, len(cand.g.Members))
-	if workers <= 1 || len(cand.g.Members) < minParallelMembers {
-		return e.refineGroup(ctx, q, cand, c, top, opts, st)
+// refine scans the members of groups — one group in the approximate walk,
+// one wave in the exact walk — with an LB cascade and early-abandon DTW,
+// offering improvements into top. The members of all the groups, in order,
+// form one work list, sharded once it reaches minParallelMembers. The
+// context is re-checked every ctxCheckStride members each worker visits.
+func (e *Engine) refine(ctx context.Context, q []float64, groups []repCandidate, c QueryConstraints, top *topK, opts Options, st *SearchStats) error {
+	n := 0
+	// The query envelope of each group's length, computed once and shared
+	// read-only by the workers.
+	envs := make([][2][]float64, len(groups))
+	//onex:nopoll one envelope per group of one wave (at most exactWave groups); the scan below polls every 64 members
+	for i, cand := range groups {
+		n += len(cand.g.Members)
+		envs[i][0], envs[i][1] = dist.Envelope(q, cand.g.Length, opts.Band)
 	}
-	return e.refineGroupParallel(ctx, q, cand, c, top, opts, st, workers)
-}
-
-// refineGroupParallel shards one group's members across the worker pool,
-// offering improvements into a mutex-guarded topK. Workers prune against
-// the accumulator's current worst score (always >= the final worst, so no
-// true top-k member is ever lost), and every surviving member is offered
-// with deterministic tie-breaking — the final contents match the serial
-// scan exactly.
-func (e *Engine) refineGroupParallel(ctx context.Context, q []float64, cand repCandidate, c QueryConstraints, top *topK, opts Options, st *SearchStats, workers int) error {
-	l := cand.g.Length
-	qU, qL := dist.Envelope(q, l, opts.Band)
 	if st != nil {
-		st.GroupsRefined++
-		st.Members += len(cand.g.Members)
+		st.GroupsRefined += len(groups)
+		st.Members += n
 	}
-	members := cand.g.Members
-	shared := newSharedTopK(top)
-	localDTW := make([]int, workers)
-	err := runWorkers(workers, func(w int) error {
-		seen, dtws := 0, 0
-		defer func() { localDTW[w] = dtws }()
-		for mi := w; mi < len(members); mi += workers {
-			if seen%ctxCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
+	workers := poolSize(opts.Workers, n, minParallelMembers)
+	return shardTopK(workers, top, st, func(w int, top *topK, st *SearchStats) error {
+		seen, offset := 0, 0
+		for gi, cand := range groups {
+			members := cand.g.Members
+			// The first member of this group whose work-list position
+			// offset+mi falls to worker w.
+			first := ((w-offset)%workers + workers) % workers
+			offset += len(members)
+			if first >= len(members) {
+				continue
+			}
+			qU, qL := envs[gi][0], envs[gi][1]
+			for mi := first; mi < len(members); mi += workers {
+				if seen%ctxCheckStride == 0 {
+					if err := ctx.Err(); err != nil {
+						return err
+					}
 				}
+				seen++
+				m := members[mi]
+				if c.excludes(m) {
+					continue
+				}
+				mv := m.Values(e.ds)
+				ub := top.boundScore() * cand.norm // raw-distance bound
+				if dist.LBKim(q, mv) > ub || dist.LBKeogh(mv, qU, qL, ub) > ub {
+					continue
+				}
+				st.MemberDTW++
+				d := dist.DTWEarlyAbandon(q, mv, opts.Band, ub)
+				if math.IsInf(d, 1) {
+					continue
+				}
+				top.offer(Match{
+					Ref:     m,
+					Values:  mv,
+					Dist:    d,
+					Score:   d / cand.norm,
+					RepDist: cand.repDist,
+					Group:   cand.ref,
+				})
 			}
-			seen++
-			m := members[mi]
-			if c.excludes(m) {
-				continue
-			}
-			mv := m.Values(e.ds)
-			ub := shared.boundScore() * cand.norm // raw-distance bound
-			if dist.LBKim(q, mv) > ub {
-				continue
-			}
-			if dist.LBKeogh(mv, qU, qL, ub) > ub {
-				continue
-			}
-			dtws++
-			d := dist.DTWEarlyAbandon(q, mv, opts.Band, ub)
-			if math.IsInf(d, 1) {
-				continue
-			}
-			shared.offer(Match{
-				Ref:     m,
-				Values:  mv,
-				Dist:    d,
-				Score:   d / cand.norm,
-				RepDist: cand.repDist,
-				Group:   cand.ref,
-			})
 		}
 		return nil
 	})
-	if st != nil {
-		for _, n := range localDTW {
-			st.MemberDTW += n
-		}
-	}
-	return err
 }
 
-// scanGroups runs fn over every job — serially, or sharded across a worker
-// pool (job i -> worker i % workers) when the list is large — and collects
-// the accepted results in job order, so the output never depends on
-// scheduling. fn's stats accumulator is the caller's in the serial case
-// and worker-local (merged at the barrier) in the parallel case; each job
-// is preceded by a ctx poll, so cancellation aborts within one round per
-// worker. This is the shared scaffolding of the range, seasonal, and
-// common-pattern scans, whose per-group work needs no cross-group state.
+// scanGroups runs fn over every job, sharded like every other scan once the
+// list reaches minParallelGroups, and collects the accepted results in job
+// order, so the output never depends on scheduling. fn counts into its
+// worker's stats block; each job is preceded by a ctx poll. This is the
+// shared scaffolding of the range, seasonal, and common-pattern scans, whose
+// per-group work needs no cross-group state.
 func scanGroups[J, R any](ctx context.Context, requestedWorkers int, jobs []J, st *SearchStats, fn func(J, *SearchStats) (R, bool, error)) ([]R, error) {
-	workers := resolveWorkers(requestedWorkers, len(jobs))
-	if workers <= 1 || len(jobs) < minParallelGroups {
-		var out []R
-		for _, j := range jobs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, ok, err := fn(j, st)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-		return out, nil
-	}
 	found := make([]*R, len(jobs))
-	locals := make([]SearchStats, workers)
-	err := runWorkers(workers, func(w int) error {
-		var local SearchStats // worker-local to avoid false sharing
-		defer func() { locals[w] = local }()
+	workers := poolSize(requestedWorkers, len(jobs), minParallelGroups)
+	err := shard(workers, st, func(w int, st *SearchStats) error {
 		for i := w; i < len(jobs); i += workers {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			r, ok, err := fn(jobs[i], &local)
+			r, ok, err := fn(jobs[i], st)
 			if err != nil {
 				return err
 			}
@@ -424,50 +337,13 @@ func scanGroups[J, R any](ctx context.Context, requestedWorkers int, jobs []J, s
 	if err != nil {
 		return nil, err
 	}
-	if st != nil {
-		for _, local := range locals {
-			st.add(local)
-		}
-	}
-	out := make([]R, 0, len(found))
+	var out []R
 	for _, r := range found {
 		if r != nil {
 			out = append(out, *r)
 		}
 	}
 	return out, nil
-}
-
-// refineWaveParallel fans one exact-mode wave of group refinements across
-// the worker pool (group i -> worker i % workers), all offering into one
-// mutex-guarded topK. Every group in the wave is fully scanned, so the
-// refined set — fixed by the caller — does not depend on scheduling; the
-// shared accumulator only tightens the member-level pruning bound.
-func (e *Engine) refineWaveParallel(ctx context.Context, q []float64, wave []repCandidate, c QueryConstraints, top *topK, opts Options, st *SearchStats, workers int) error {
-	if workers > len(wave) {
-		workers = len(wave)
-	}
-	shared := newSharedTopK(top)
-	locals := make([]SearchStats, workers)
-	err := runWorkers(workers, func(w int) error {
-		var local SearchStats // worker-local to avoid false sharing
-		defer func() { locals[w] = local }()
-		for i := w; i < len(wave); i += workers {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := e.refineGroup(ctx, q, wave[i], c, shared, opts, &local); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if st != nil {
-		for _, local := range locals {
-			st.add(local)
-		}
-	}
-	return err
 }
 
 // add accumulates another stats block (worker-local merge).

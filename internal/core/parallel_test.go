@@ -5,12 +5,14 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bruteforce"
 	"repro/internal/gen"
 	"repro/internal/grouping"
 	"repro/internal/ts"
@@ -113,11 +115,13 @@ func sameMatches(t *testing.T, label string, a, b []Match) {
 	}
 }
 
-// TestFindWorkersEquivalence is the central parallel-correctness property:
-// at every worker count, Find returns the identical match list (same refs,
-// same distances, same order) and the identical deterministic work totals
-// (Groups, GroupsRefined, Members) as the serial engine — in approx mode,
-// exact mode, and range mode, with and without constraints.
+// TestFindWorkersEquivalence is the central parallel-correctness property
+// (docs/ARCHITECTURE.md, "Determinism contract"): at every worker count
+// Find returns the identical match list (same refs, same distances, same
+// order), the identical totals Groups, GroupsRefined and Members, and, in
+// exact mode, the identical Certified flags at every emission; exact and
+// range answers equal the brute-force oracle; and at any fixed worker count
+// two runs report the identical SearchStats.
 func TestFindWorkersEquivalence(t *testing.T) {
 	d, e := parallelWorld(t, ModeApprox)
 	queries := []struct {
@@ -134,42 +138,115 @@ func TestFindWorkersEquivalence(t *testing.T) {
 		}, d.Series[0].Values[5:19]},
 		{"exact top3", FindOptions{Options: Options{Band: -1, Mode: ModeExact, LengthNorm: true}, K: 3}, d.Series[1].Values[0:12]},
 		{"exact banded", FindOptions{Options: Options{Band: 3, Mode: ModeExact, LengthNorm: true}, K: 5}, d.Series[2].Values[10:28]},
+		{"exact constrained", FindOptions{
+			Options:     Options{Band: -1, Mode: ModeExact, LengthNorm: true},
+			K:           4,
+			Constraints: QueryConstraints{ExcludeSeries: map[int]bool{5: true}, MinLength: 12, MaxLength: 20},
+		}, d.Series[5].Values[30:44]},
 		{"range", FindOptions{Options: Options{Band: -1, LengthNorm: true}, Range: true, MaxDist: 0.08}, d.Series[4].Values[0:16]},
 	}
 	ctx := context.Background()
-	for _, tc := range queries {
-		serialFO := tc.fo
-		serialFO.Workers = 1
-		serial, err := e.Find(ctx, tc.q, serialFO)
+	run := func(fo FindOptions, q []float64) (FindResult, [][]bool) {
+		t.Helper()
+		var certs [][]bool
+		fo.Progress = func(s Snapshot) { certs = append(certs, s.Certified) }
+		res, err := e.Find(ctx, q, fo)
 		if err != nil {
-			t.Fatalf("%s: serial: %v", tc.name, err)
+			t.Fatalf("workers=%d: %v", fo.Workers, err)
 		}
-		for _, workers := range []int{2, 4, 0} {
+		return res, certs
+	}
+	for _, tc := range queries {
+		var first FindResult
+		var firstCerts [][]bool
+		for wi, workers := range []int{1, 2, 4, 0} {
 			fo := tc.fo
 			fo.Workers = workers
-			par, err := e.Find(ctx, tc.q, fo)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
-			}
 			label := tc.name + " workers=" + strconv.Itoa(workers)
-			sameMatches(t, label, serial.Matches, par.Matches)
-			if par.Stats.Groups != serial.Stats.Groups ||
-				par.Stats.GroupsRefined != serial.Stats.GroupsRefined ||
-				par.Stats.Members != serial.Stats.Members {
-				t.Fatalf("%s: deterministic totals drifted: serial %+v, parallel %+v",
-					label, serial.Stats, par.Stats)
+			res, certs := run(fo, tc.q)
+			again, _ := run(fo, tc.q)
+			if res.Stats != again.Stats {
+				t.Fatalf("%s: stats differ between two runs: %+v vs %+v", label, res.Stats, again.Stats)
 			}
-			if tc.fo.Range {
+			sameMatches(t, label+" (repeat)", res.Matches, again.Matches)
+			if res.Stats.GroupsLBPruned+res.Stats.GroupsRefined > res.Stats.Groups {
+				t.Fatalf("%s: counters don't reconcile: %+v", label, res.Stats)
+			}
+			if wi == 0 {
+				first, firstCerts = res, certs
+				continue
+			}
+			sameMatches(t, label, first.Matches, res.Matches)
+			if res.Stats.Groups != first.Stats.Groups ||
+				res.Stats.GroupsRefined != first.Stats.GroupsRefined ||
+				res.Stats.Members != first.Stats.Members {
+				t.Fatalf("%s: worker-independent totals drifted: workers=1 %+v, %+v",
+					label, first.Stats, res.Stats)
+			}
+			if !reflect.DeepEqual(firstCerts, certs) {
+				t.Fatalf("%s: certified flags %v != %v at workers=1", label, certs, firstCerts)
+			}
+			if tc.fo.Range && res.Stats != first.Stats {
 				// Range scans prune against a fixed threshold, so the full
-				// statistics block is scheduling-independent.
-				if par.Stats != serial.Stats {
-					t.Fatalf("%s: range stats drifted: serial %+v, parallel %+v",
-						label, serial.Stats, par.Stats)
-				}
+				// statistics block is the same at every worker count.
+				t.Fatalf("%s: range stats drifted: %+v vs %+v", label, first.Stats, res.Stats)
 			}
-			if par.Stats.GroupsLBPruned+par.Stats.GroupsRefined > par.Stats.Groups {
-				t.Fatalf("%s: counters don't reconcile: %+v", label, par.Stats)
+		}
+		if tc.fo.Range || tc.fo.Mode == ModeExact {
+			checkOracle(t, tc.name, d, e, tc.q, tc.fo, first.Matches)
+		}
+	}
+}
+
+// oracle returns the brute-force answers for fo's candidate population in
+// the engine's total result order (score, then subsequence identity): the
+// best fo.K in best-match mode, every window within fo.MaxDist in range
+// mode.
+func oracle(t *testing.T, d *ts.Dataset, e *Engine, q []float64, fo FindOptions) []bruteforce.Result {
+	t.Helper()
+	minL, maxL := fo.Constraints.MinLength, fo.Constraints.MaxLength
+	if minL <= 0 {
+		minL = e.Base().MinLength
+	}
+	if maxL <= 0 {
+		maxL = e.Base().MaxLength
+	}
+	n := math.MaxInt32
+	if !fo.Range {
+		n = fo.K + 64 // headroom so score ties at the cut are ordered below
+	}
+	all, err := bruteforce.KBest(d, q, n, bruteforce.Options{
+		Band: fo.Band, MinLength: minL, MaxLength: maxL, LengthNormalize: fo.LengthNorm,
+		ExcludeSeries: fo.Constraints.ExcludeSeries, ExcludeOverlap: fo.Constraints.ExcludeOverlap,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		return matchBefore(Match{Ref: all[i].Ref, Score: all[i].Score}, Match{Ref: all[j].Ref, Score: all[j].Score})
+	})
+	if fo.Range {
+		var in []bruteforce.Result
+		for _, r := range all {
+			if r.Score <= fo.MaxDist {
+				in = append(in, r)
 			}
+		}
+		return in
+	}
+	return all[:min(fo.K, len(all))]
+}
+
+func checkOracle(t *testing.T, label string, d *ts.Dataset, e *Engine, q []float64, fo FindOptions, got []Match) {
+	t.Helper()
+	want := oracle(t, d, e, q, fo)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d matches, oracle %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Ref != want[i].Ref || got[i].Score != want[i].Score {
+			t.Fatalf("%s: match %d %+v (score %g), oracle %+v (score %g)",
+				label, i, got[i].Ref, got[i].Score, want[i].Ref, want[i].Score)
 		}
 	}
 }
@@ -182,18 +259,18 @@ func TestAnalyticsWorkersEquivalence(t *testing.T) {
 	ctx := context.Background()
 
 	var serialSt SearchStats
-	serialPats, err := e.SeasonalByIndexContext(ctx, 0, SeasonalOptions{Workers: 1}, &serialSt)
+	serialPats, err := e.SeasonalByIndex(ctx, 0, SeasonalOptions{Workers: 1}, &serialSt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var serialCommonSt SearchStats
-	serialCommon, err := e.CommonPatternsContext(ctx, CommonOptions{Workers: 1}, &serialCommonSt)
+	serialCommon, err := e.CommonPatterns(ctx, CommonOptions{Workers: 1}, &serialCommonSt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 0} {
 		var st SearchStats
-		pats, err := e.SeasonalByIndexContext(ctx, 0, SeasonalOptions{Workers: workers}, &st)
+		pats, err := e.SeasonalByIndex(ctx, 0, SeasonalOptions{Workers: workers}, &st)
 		if err != nil {
 			t.Fatalf("seasonal workers=%d: %v", workers, err)
 		}
@@ -210,7 +287,7 @@ func TestAnalyticsWorkersEquivalence(t *testing.T) {
 		}
 
 		st = SearchStats{}
-		common, err := e.CommonPatternsContext(ctx, CommonOptions{Workers: workers}, &st)
+		common, err := e.CommonPatterns(ctx, CommonOptions{Workers: workers}, &st)
 		if err != nil {
 			t.Fatalf("common workers=%d: %v", workers, err)
 		}
@@ -317,7 +394,7 @@ func TestParallelCancellation(t *testing.T) {
 			return err
 		},
 		"seasonal": func(ctx context.Context) error {
-			_, err := e.SeasonalByIndexContext(ctx, 0, SeasonalOptions{Workers: 4}, nil)
+			_, err := e.SeasonalByIndex(ctx, 0, SeasonalOptions{Workers: 4}, nil)
 			return err
 		},
 	} {

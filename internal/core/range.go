@@ -10,7 +10,7 @@ import (
 	"repro/internal/grouping"
 )
 
-// RangeOptions configures WithinThreshold.
+// RangeOptions configures a range scan (Find with Range set).
 type RangeOptions struct {
 	// MaxDist is the inclusive score threshold (same units as Match.Score:
 	// raw DTW, or length-normalized DTW when the engine ranks normalized).
@@ -19,19 +19,6 @@ type RangeOptions struct {
 	Constraints QueryConstraints
 	// Limit caps the number of returned matches (0 = unlimited).
 	Limit int
-}
-
-// WithinThreshold returns every indexed subsequence whose DTW score from q
-// is at most MaxDist, ordered best-first. This is the paper's §3.3 range
-// flavour of similarity exploration ("showing the changes in the
-// similarity between sequences for varying parameters"): re-running with a
-// swept threshold shows how the match set grows.
-//
-// The search is exact regardless of the engine mode: a group can be
-// skipped only when the certified transfer bound proves every member lies
-// beyond the threshold.
-func (e *Engine) WithinThreshold(q []float64, opts RangeOptions) ([]Match, error) {
-	return e.withinThreshold(context.Background(), q, opts, e.opts, nil)
 }
 
 // rangeJob is one group to scan plus the per-length precomputation shared
@@ -45,19 +32,24 @@ type rangeJob struct {
 	qU, qL []float64
 }
 
-// withinThreshold is WithinThreshold with an explicit context, per-call
-// engine options, and optional statistics collection. The group scan is
-// sharded across callOpts.Workers goroutines when the base is large; the
-// threshold bound is fixed, so results and statistics are identical at
-// every worker count. Each worker checks the context once per group and
-// every ctxCheckStride members, so cancelled range scans abort within one
-// pruning round.
+// withinThreshold returns every indexed subsequence whose DTW score from q
+// is at most opts.MaxDist, ordered best-first. This is the paper's §3.3
+// range flavour of similarity exploration ("showing the changes in the
+// similarity between sequences for varying parameters"): re-running with a
+// swept threshold shows how the match set grows.
+//
+// The search is exact regardless of callOpts.Mode: a group can be skipped
+// only when the certified transfer bound proves every member lies beyond
+// the threshold. The bound is fixed, so results and statistics are
+// identical at every worker count. Each worker checks the context once per
+// group and every ctxCheckStride members, so cancelled range scans abort
+// within one pruning round.
 func (e *Engine) withinThreshold(ctx context.Context, q []float64, opts RangeOptions, callOpts Options, st *SearchStats) ([]Match, error) {
 	if len(q) < 2 {
 		return nil, fmt.Errorf("core: query length %d too short (need >= 2)", len(q))
 	}
 	if opts.MaxDist < 0 || math.IsNaN(opts.MaxDist) {
-		return nil, fmt.Errorf("core: WithinThreshold: MaxDist %g must be non-negative", opts.MaxDist)
+		return nil, fmt.Errorf("core: range query: MaxDist %g must be non-negative", opts.MaxDist)
 	}
 	release, err := e.ds.Pin()
 	if err != nil {
@@ -115,25 +107,19 @@ func (e *Engine) withinThreshold(ctx context.Context, q []float64, opts RangeOpt
 
 // rangeScanGroup applies the certified group skip and, when the group
 // survives, scans its members against the fixed threshold, returning every
-// in-range match. st may be a worker-local accumulator.
+// in-range match, counting into the worker's st.
 func (e *Engine) rangeScanGroup(ctx context.Context, q []float64, job rangeJob, c QueryConstraints, callOpts Options, st *SearchStats) ([]Match, error) {
-	if st != nil {
-		st.Groups++
-		st.RepDTW++
-	}
+	st.Groups++
+	st.RepDTW++
 	// Certified skip: if DTW(q, rep) - slack > rawMax then every member is
 	// provably outside the threshold.
 	repDist := dist.DTWEarlyAbandon(q, job.g.Rep, callOpts.Band, job.rawMax+job.slack)
 	if math.IsInf(repDist, 1) {
-		if st != nil {
-			st.GroupsLBPruned++
-		}
+		st.GroupsLBPruned++
 		return nil, nil
 	}
-	if st != nil {
-		st.GroupsRefined++
-		st.Members += len(job.g.Members)
-	}
+	st.GroupsRefined++
+	st.Members += len(job.g.Members)
 	var out []Match
 	for mi, m := range job.g.Members {
 		if mi%ctxCheckStride == 0 {
@@ -145,15 +131,10 @@ func (e *Engine) rangeScanGroup(ctx context.Context, q []float64, job rangeJob, 
 			continue
 		}
 		mv := m.Values(e.ds)
-		if dist.LBKim(q, mv) > job.rawMax {
+		if dist.LBKim(q, mv) > job.rawMax || dist.LBKeogh(mv, job.qU, job.qL, job.rawMax) > job.rawMax {
 			continue
 		}
-		if dist.LBKeogh(mv, job.qU, job.qL, job.rawMax) > job.rawMax {
-			continue
-		}
-		if st != nil {
-			st.MemberDTW++
-		}
+		st.MemberDTW++
 		d := dist.DTWEarlyAbandon(q, mv, callOpts.Band, job.rawMax)
 		// Early abandoning may return a finite value above the bound when no
 		// full DP row exceeded it; filter explicitly.

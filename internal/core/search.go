@@ -40,37 +40,8 @@ func (c QueryConstraints) excludes(ref ts.SubSeq) bool {
 	return false
 }
 
-// BestMatch returns the most similar indexed subsequence to q under DTW,
-// per the engine's mode. See BestMatchConstrained.
-func (e *Engine) BestMatch(q []float64) (Match, error) {
-	return e.BestMatchConstrained(q, QueryConstraints{})
-}
-
-// BestMatchConstrained is BestMatch with search constraints.
-func (e *Engine) BestMatchConstrained(q []float64, c QueryConstraints) (Match, error) {
-	ms, err := e.KBestMatchesConstrained(q, 1, c)
-	if err != nil {
-		return Match{}, err
-	}
-	return ms[0], nil
-}
-
-// KBestMatches returns the k most similar indexed subsequences, best first.
-func (e *Engine) KBestMatches(q []float64, k int) ([]Match, error) {
-	return e.KBestMatchesConstrained(q, k, QueryConstraints{})
-}
-
-// KBestMatchesConstrained runs the engine's configured search mode.
-//
-// ModeApprox (paper §3.2): rank groups by DTW(query, representative), then
-// return the best members of the top groups. ModeExact: prune groups with
-// the certified transfer bound and refine all survivors; the result is the
-// true DTW top-k over every indexed candidate.
-func (e *Engine) KBestMatchesConstrained(q []float64, k int, c QueryConstraints) ([]Match, error) {
-	return e.search(context.Background(), q, k, c, e.opts, nil, nil)
-}
-
-// search is the shared top-k entry point: it validates the query, resolves
+// search is the shared top-k entry point for k >= 1 (Find clamps K): it
+// validates the query, resolves
 // candidate lengths, and dispatches on the per-call mode. It honours ctx
 // cancellation between pruning rounds (per group and per member batch) and
 // returns ctx.Err() when the caller gave up. progress, when non-nil,
@@ -79,9 +50,6 @@ func (e *Engine) KBestMatchesConstrained(q []float64, k int, c QueryConstraints)
 func (e *Engine) search(ctx context.Context, q []float64, k int, c QueryConstraints, opts Options, st *SearchStats, progress ProgressFunc) ([]Match, error) {
 	if len(q) < 2 {
 		return nil, fmt.Errorf("core: query length %d too short (need >= 2)", len(q))
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k = %d must be >= 1", k)
 	}
 	// Pin mmap-backed values for the whole walk (no-op for heap datasets):
 	// the backing mapping cannot be released while the search dereferences
@@ -139,38 +107,6 @@ type repCandidate struct {
 	repDist  float64 // raw DTW(q, rep); +Inf when pruned
 	repScore float64 // repDist / norm
 	norm     float64
-}
-
-// scoreRepresentatives computes DTW(query, representative) for every group
-// of the candidate lengths, with an LB_Kim + LB_Keogh + early-abandon
-// cascade against the running k-th best representative score. Groups whose
-// representative provably cannot enter the top-k are returned with
-// repDist = +Inf. st, when non-nil, accumulates search statistics. The scan
-// is sharded across Options.Workers goroutines when the group list is large
-// (see parallel.go); with one worker the context is checked once per group,
-// so a cancelled scan aborts before the next representative is scored.
-func (e *Engine) scoreRepresentatives(ctx context.Context, q []float64, k int, lengths []int, opts Options, st *SearchStats) ([]repCandidate, error) {
-	jobs := e.flattenGroups(q, lengths, opts)
-	workers := resolveWorkers(opts.Workers, len(jobs))
-	if workers > 1 && len(jobs) >= minParallelGroups {
-		return e.scoreRepsParallel(ctx, q, k, jobs, opts, st, workers)
-	}
-	cands := make([]repCandidate, 0, len(jobs))
-	// kth tracks the k-th best representative score seen so far; the raw
-	// abandon bound per job is score bound * norm.
-	kth := newKthTracker(k)
-	for _, job := range jobs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		repDist := scoreJob(q, job, kth.bound()*job.norm, opts.Band, st)
-		score := repDist / job.norm
-		if !math.IsInf(repDist, 1) {
-			kth.offer(score)
-		}
-		cands = append(cands, repCandidate{ref: job.ref, g: job.g, repDist: repDist, repScore: score, norm: job.norm})
-	}
-	return cands, nil
 }
 
 // sortCandidates orders group candidates by representative score, pruned
@@ -231,66 +167,13 @@ func (e *Engine) kbestExact(ctx context.Context, q []float64, k int, c QueryCons
 	return final.Matches, nil
 }
 
-// matchSink abstracts the accumulator a member scan offers into: the plain
-// topK on serial walks, the mutex-guarded sharedTopK when several workers
-// feed one accumulator (parallel.go). boundScore is the current k-th best
-// score (+Inf until full), the member-level pruning bound.
-type matchSink interface {
-	offer(Match)
-	boundScore() float64
-}
-
+// boundScore is the accumulator's current k-th best score (+Inf until
+// full), the member-level pruning bound.
 func (t *topK) boundScore() float64 {
 	if t.full() {
 		return t.worst().Score
 	}
 	return math.Inf(1)
-}
-
-// refineGroup scans a group's members with an LB cascade and early-abandon
-// DTW, offering improvements to the top-k accumulator. The context is
-// re-checked every ctxCheckStride members so large groups abandon promptly.
-func (e *Engine) refineGroup(ctx context.Context, q []float64, cand repCandidate, c QueryConstraints, top matchSink, opts Options, st *SearchStats) error {
-	l := cand.g.Length
-	qU, qL := dist.Envelope(q, l, opts.Band)
-	if st != nil {
-		st.GroupsRefined++
-		st.Members += len(cand.g.Members)
-	}
-	for mi, m := range cand.g.Members {
-		if mi%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if c.excludes(m) {
-			continue
-		}
-		mv := m.Values(e.ds)
-		ub := top.boundScore() * cand.norm // raw-distance bound
-		if dist.LBKim(q, mv) > ub {
-			continue
-		}
-		if dist.LBKeogh(mv, qU, qL, ub) > ub {
-			continue
-		}
-		if st != nil {
-			st.MemberDTW++
-		}
-		d := dist.DTWEarlyAbandon(q, mv, opts.Band, ub)
-		if math.IsInf(d, 1) {
-			continue
-		}
-		top.offer(Match{
-			Ref:     m,
-			Values:  mv,
-			Dist:    d,
-			Score:   d / cand.norm,
-			RepDist: cand.repDist,
-			Group:   cand.ref,
-		})
-	}
-	return nil
 }
 
 // finishMatches fills in warping paths (presentation data) for the final
@@ -372,6 +255,17 @@ func (t *topK) sorted() []Match {
 	return out
 }
 
+// clone seeds a worker-local accumulator with t's contents.
+func (t *topK) clone() *topK {
+	return &topK{k: t.k, ms: append([]Match(nil), t.ms...)}
+}
+
+// maxTrackedK saturates the representative-scoring bound: beyond it the
+// bound is useless anyway. Only the maxTrackedK best representatives are
+// guaranteed an exact score; the walks resolve every other pruned
+// representative before they rely on its distance (startWalk, finishExact).
+const maxTrackedK = 1024
+
 // kthTracker tracks the k-th smallest value offered, as the abandon bound
 // for representative scoring.
 type kthTracker struct {
@@ -380,17 +274,7 @@ type kthTracker struct {
 }
 
 func newKthTracker(k int) *kthTracker {
-	if k < 1 {
-		k = 1
-	}
-	if k > 1024 {
-		// Saturate: beyond this the bound is useless anyway. The exact
-		// pipeline compensates for any resulting over-pruning by resolving
-		// every abandoned representative (finishExact / resolveCandidates)
-		// before the certified walk.
-		k = 1024
-	}
-	return &kthTracker{k: k}
+	return &kthTracker{k: min(max(k, 1), maxTrackedK)}
 }
 
 // offer inserts v with a single insertion shift (the slice is always

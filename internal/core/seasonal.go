@@ -48,7 +48,7 @@ type SeasonalOptions struct {
 	// reports every sub-window of a long motif as its own pattern.
 	Dedup bool
 	// Workers bounds the worker pool the group scan is sharded across
-	// (values < 1 select GOMAXPROCS, 1 forces the serial path). The mine is
+	// (values < 1 select GOMAXPROCS, 1 runs it inline). The mine is
 	// a pure read of the base, so results and statistics are identical at
 	// every worker count.
 	Workers int
@@ -61,30 +61,20 @@ type SeasonalOptions struct {
 //
 // Results are ranked by occurrence count (descending), then by motif
 // length (descending: longer recurring shapes are more informative), then
-// by earliest occurrence.
-func (e *Engine) Seasonal(seriesName string, opts SeasonalOptions) ([]Pattern, error) {
-	return e.SeasonalContext(context.Background(), seriesName, opts, nil)
-}
-
-// SeasonalContext is Seasonal with cancellation and statistics: the context
-// is checked once per candidate group and every ctxCheckStride members, so
-// a cancelled mine aborts within one pruning round with ctx.Err(). st, when
-// non-nil, accumulates the groups and members visited.
-func (e *Engine) SeasonalContext(ctx context.Context, seriesName string, opts SeasonalOptions, st *SearchStats) ([]Pattern, error) {
+// by earliest occurrence. The context is checked once per candidate group
+// and every ctxCheckStride members, so a cancelled mine aborts within one
+// pruning round with ctx.Err(). st, when non-nil, accumulates the groups
+// and members visited.
+func (e *Engine) Seasonal(ctx context.Context, seriesName string, opts SeasonalOptions, st *SearchStats) ([]Pattern, error) {
 	si := e.ds.IndexOf(seriesName)
 	if si < 0 {
 		return nil, fmt.Errorf("core: Seasonal: series %q not in dataset %q", seriesName, e.ds.Name)
 	}
-	return e.SeasonalByIndexContext(ctx, si, opts, st)
+	return e.SeasonalByIndex(ctx, si, opts, st)
 }
 
 // SeasonalByIndex is Seasonal addressed by series position.
-func (e *Engine) SeasonalByIndex(si int, opts SeasonalOptions) ([]Pattern, error) {
-	return e.SeasonalByIndexContext(context.Background(), si, opts, nil)
-}
-
-// SeasonalByIndexContext is SeasonalContext addressed by series position.
-func (e *Engine) SeasonalByIndexContext(ctx context.Context, si int, opts SeasonalOptions, st *SearchStats) ([]Pattern, error) {
+func (e *Engine) SeasonalByIndex(ctx context.Context, si int, opts SeasonalOptions, st *SearchStats) ([]Pattern, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -126,13 +116,11 @@ func (e *Engine) SeasonalByIndexContext(ctx context.Context, si int, opts Season
 			jobs = append(jobs, job{l: l, gi: gi, g: g})
 		}
 	}
-	// mineGroup scans one group for this series' recurrences; st may be a
-	// worker-local accumulator.
+	// mineGroup scans one group for this series' recurrences, counting
+	// into the worker's st.
 	mineGroup := func(j job, st *SearchStats) (Pattern, bool, error) {
-		if st != nil {
-			st.Groups++
-			st.Members += len(j.g.Members)
-		}
+		st.Groups++
+		st.Members += len(j.g.Members)
 		// Collect this series' members of the group.
 		var mine []ts.SubSeq
 		for mi, m := range j.g.Members {

@@ -113,12 +113,12 @@ func (e *Engine) startWalk(ctx context.Context, q []float64, k int, c QueryConst
 	// groups in rep order until k matches are collected (or candidates are
 	// exhausted).
 	for i := 0; i < len(cands); i++ {
-		if !w.resolved && (i >= k || math.IsInf(cands[i].repDist, 1)) {
+		if !w.resolved && i >= min(k, maxTrackedK) {
 			// End of the deterministic prefix: the k best representatives are
-			// exactly scored in every run, but beyond them which groups the
-			// scoring pass LB-pruned depends on scan order (and, with
-			// Workers > 1, on scheduling). Resolve the tail — recompute every
-			// pruned representative and re-sort by true score — so the walk
+			// exactly scored at every worker count, but beyond them which
+			// groups the scoring pass LB-pruned depends on the shard each
+			// group fell to. Resolve the tail — recompute every pruned
+			// representative and re-sort by true score — so the walk
 			// continues in true representative order regardless, and a
 			// constrained query that under-fills stops at the same cutoff as
 			// the main loop instead of degenerating into a near-exhaustive
@@ -136,7 +136,7 @@ func (e *Engine) startWalk(ctx context.Context, q []float64, k int, c QueryConst
 			// (heuristic: members can score below their representative).
 			break
 		}
-		if err := e.refine(ctx, q, cand, c, w.top, opts, st); err != nil {
+		if err := e.refine(ctx, q, cands[i:i+1], c, w.top, opts, st); err != nil {
 			return nil, err
 		}
 		w.refined = i + 1
@@ -212,16 +212,16 @@ func (w *progressiveWalk) snapshot(final bool) Snapshot {
 // each wave the certified transfer bound re-filters the tail against the
 // tightened top-k, and emit (when non-nil) receives a snapshot. The wave
 // size is a constant (parallel.go exactWave), never derived from the
-// worker count, so the refined set — and with it every deterministic work
-// total — is identical at every Workers setting.
+// worker count, so the refined set, the answer, and the certification
+// flags are identical at every Workers setting.
 func (w *progressiveWalk) finishExact(ctx context.Context, emit ProgressFunc) error {
 	e := w.e
 	// The approximate phase resolves the tail only when its walk reaches
 	// it; a walk that filled k from the first groups leaves the rest
-	// LB-pruned. The kth tracker also saturates (1024), so on large bases
-	// some representatives are abandoned regardless. Recompute them all —
-	// in parallel when allowed — so the certified bound below sees true
-	// distances, and walk the tail in true representative-score order.
+	// LB-pruned. The kth tracker also saturates (maxTrackedK), so on large
+	// bases some representatives are abandoned regardless. Recompute them
+	// all so the certified bound below sees true distances, and walk the
+	// tail in true representative-score order.
 	if err := e.resolveCandidates(ctx, w.q, w.cands[w.refined:], w.opts, w.st); err != nil {
 		return err
 	}
@@ -240,9 +240,7 @@ func (w *progressiveWalk) finishExact(ctx context.Context, emit ProgressFunc) er
 
 	// The walk proceeds in fixed-size waves: between waves the certified
 	// transfer bound is re-evaluated against the tightened top-k, and
-	// within a wave every surviving group is refined — across the worker
-	// pool when one is configured.
-	workers := resolveWorkers(w.opts.Workers, exactWave)
+	// within a wave every surviving group is refined.
 	wave := make([]repCandidate, 0, exactWave)
 	for w.refined < len(w.cands) {
 		// Collect the next wave of groups the certified bound cannot skip.
@@ -262,18 +260,8 @@ func (w *progressiveWalk) finishExact(ctx context.Context, emit ProgressFunc) er
 			}
 			wave = append(wave, cand)
 		}
-		if len(wave) > 0 {
-			if workers > 1 && len(wave) > 1 {
-				if err := e.refineWaveParallel(ctx, w.q, wave, w.c, w.top, w.opts, w.st, workers); err != nil {
-					return err
-				}
-			} else {
-				for _, cand := range wave {
-					if err := e.refine(ctx, w.q, cand, w.c, w.top, w.opts, w.st); err != nil {
-						return err
-					}
-				}
-			}
+		if err := e.refine(ctx, w.q, wave, w.c, w.top, w.opts, w.st); err != nil {
+			return err
 		}
 		w.refined = idx
 		if len(wave) > 0 && emit != nil {

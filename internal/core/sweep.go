@@ -13,23 +13,17 @@ type SweepPoint struct {
 	Matches int
 }
 
-// SimilaritySweep evaluates WithinThreshold at several thresholds in one
+// SimilaritySweep evaluates a range query at several thresholds in one
 // pass (paper §2: "showing the changes in the similarity between sequences
 // for varying parameters"). The curve lets the analyst pick a threshold by
 // seeing where the match population jumps. Thresholds are evaluated
 // against the largest value, then counted per step, so the cost is one
-// range query, not len(thresholds).
-func (e *Engine) SimilaritySweep(q []float64, thresholds []float64, c QueryConstraints) ([]SweepPoint, error) {
-	return e.SimilaritySweepContext(context.Background(), q, thresholds, c, e.opts, nil)
-}
-
-// SimilaritySweepContext is SimilaritySweep with cancellation, per-call
-// engine options, and statistics. The underlying range scan checks the
-// context once per group and every ctxCheckStride members, so a cancelled
-// sweep aborts within one pruning round with ctx.Err(). callOpts overrides
-// the engine's Band (the scan is always certified regardless of Mode); st,
-// when non-nil, accumulates the range scan's search statistics.
-func (e *Engine) SimilaritySweepContext(ctx context.Context, q []float64, thresholds []float64, c QueryConstraints, callOpts Options, st *SearchStats) ([]SweepPoint, error) {
+// range query, not len(thresholds). The range scan checks the context once
+// per group and every ctxCheckStride members, so a cancelled sweep aborts
+// within one pruning round with ctx.Err(). callOpts overrides the engine's
+// Band (the scan is always certified regardless of Mode); st, when
+// non-nil, accumulates the range scan's search statistics.
+func (e *Engine) SimilaritySweep(ctx context.Context, q []float64, thresholds []float64, c QueryConstraints, callOpts Options, st *SearchStats) ([]SweepPoint, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -81,23 +75,4 @@ type SearchStats struct {
 	// MemberDTW is the number of member DTW evaluations started (the rest
 	// were dropped by LB_Kim / LB_Keogh).
 	MemberDTW int
-}
-
-// BestMatchWithStats is BestMatch instrumented with search statistics.
-// It runs the approximate search regardless of the engine mode (the
-// statistics describe the paper's configuration).
-func (e *Engine) BestMatchWithStats(q []float64, c QueryConstraints) (Match, SearchStats, error) {
-	var st SearchStats
-	if len(q) < 2 {
-		return Match{}, st, fmt.Errorf("core: query length %d too short (need >= 2)", len(q))
-	}
-	lengths := e.candidateLengths(c)
-	if len(lengths) == 0 {
-		return Match{}, st, ErrNoMatch
-	}
-	ms, err := e.kbestApprox(context.Background(), q, 1, c, lengths, e.opts, &st)
-	if err != nil {
-		return Match{}, st, err
-	}
-	return ms[0], st, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -8,7 +9,7 @@ func TestSimilaritySweepMonotone(t *testing.T) {
 	d, e := newTestWorld(t, 5, 30, 0.1, 5, 10, ModeApprox, -1)
 	q := d.Series[1].Values[4:11]
 	thresholds := []float64{0.05, 0.2, 0.5, 1.0, 2.0}
-	pts, err := e.SimilaritySweep(q, thresholds, QueryConstraints{})
+	pts, err := e.SimilaritySweep(context.Background(), q, thresholds, QueryConstraints{}, e.Options(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestSimilaritySweepMonotone(t *testing.T) {
 	}
 	// Each point must agree with a direct range query.
 	for _, p := range pts[:2] {
-		ms, err := e.WithinThreshold(q, RangeOptions{MaxDist: p.MaxDist})
+		ms, err := within(e, q, RangeOptions{MaxDist: p.MaxDist})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func TestSimilaritySweepMonotone(t *testing.T) {
 func TestSimilaritySweepUnsortedInputAndErrors(t *testing.T) {
 	d, e := newTestWorld(t, 4, 24, 0.1, 4, 8, ModeApprox, -1)
 	q := d.Series[0].Values[0:6]
-	pts, err := e.SimilaritySweep(q, []float64{1.0, 0.1, 0.5}, QueryConstraints{})
+	pts, err := e.SimilaritySweep(context.Background(), q, []float64{1.0, 0.1, 0.5}, QueryConstraints{}, e.Options(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +51,10 @@ func TestSimilaritySweepUnsortedInputAndErrors(t *testing.T) {
 	if pts[0].MaxDist != 0.1 || pts[2].MaxDist != 1.0 {
 		t.Fatalf("sweep not sorted: %+v", pts)
 	}
-	if _, err := e.SimilaritySweep(q, nil, QueryConstraints{}); err == nil {
+	if _, err := e.SimilaritySweep(context.Background(), q, nil, QueryConstraints{}, e.Options(), nil); err == nil {
 		t.Fatal("empty thresholds accepted")
 	}
-	if _, err := e.SimilaritySweep(q, []float64{-1}, QueryConstraints{}); err == nil {
+	if _, err := e.SimilaritySweep(context.Background(), q, []float64{-1}, QueryConstraints{}, e.Options(), nil); err == nil {
 		t.Fatal("negative thresholds accepted")
 	}
 }
@@ -61,10 +62,13 @@ func TestSimilaritySweepUnsortedInputAndErrors(t *testing.T) {
 func TestBestMatchWithStats(t *testing.T) {
 	d, e := newTestWorld(t, 5, 30, 0.1, 5, 10, ModeApprox, -1)
 	q := d.Series[2].Values[3:10]
-	m, st, err := e.BestMatchWithStats(q, QueryConstraints{})
+	approx := FindOptions{Options: e.Options(), K: 1}
+	approx.Mode = ModeApprox // the statistics describe the paper's configuration
+	res, err := e.Find(context.Background(), q, approx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, st := res.Matches[0], res.Stats
 	if m.Dist != 0 {
 		t.Fatalf("self query dist = %g", m.Dist)
 	}
@@ -92,10 +96,11 @@ func TestBestMatchWithStats(t *testing.T) {
 		t.Logf("note: refined %d of %d groups (loose threshold)", st.GroupsRefined, st.Groups)
 	}
 	// Errors propagate.
-	if _, _, err := e.BestMatchWithStats([]float64{1}, QueryConstraints{}); err == nil {
+	if _, err := e.Find(context.Background(), []float64{1}, approx); err == nil {
 		t.Fatal("short query accepted")
 	}
-	if _, _, err := e.BestMatchWithStats(q, QueryConstraints{MinLength: 999, MaxLength: 999}); err == nil {
+	approx.Constraints = QueryConstraints{MinLength: 999, MaxLength: 999}
+	if _, err := e.Find(context.Background(), q, approx); err == nil {
 		t.Fatal("impossible constraints accepted")
 	}
 }

@@ -57,16 +57,10 @@ var defaultPercentiles = []struct {
 // recommendation is based on, normalized per point (divided by the probe
 // length) and sorted ascending. Exposed so front ends can draw the
 // distribution behind the recommended cut points. The probe length
-// actually used is returned alongside.
-func SampleDistances(d *ts.Dataset, opts ThresholdOptions) ([]float64, int, error) {
-	return SampleDistancesContext(context.Background(), d, opts)
-}
-
-// SampleDistancesContext is SampleDistances with cancellation: the context
-// is checked once per series during window enumeration and every
-// ctxCheckStride sampled pairs, so a cancelled sample aborts promptly with
-// ctx.Err().
-func SampleDistancesContext(ctx context.Context, d *ts.Dataset, opts ThresholdOptions) ([]float64, int, error) {
+// actually used is returned alongside. The context is checked once per
+// series during window enumeration and every ctxCheckStride sampled pairs,
+// so a cancelled sample aborts promptly with ctx.Err().
+func SampleDistances(ctx context.Context, d *ts.Dataset, opts ThresholdOptions) ([]float64, int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -136,31 +130,25 @@ func SampleDistancesContext(ctx context.Context, d *ts.Dataset, opts ThresholdOp
 // RecommendThresholds samples the dataset's pairwise subsequence-ED
 // distribution at a probe length and returns candidate STs at fixed low
 // percentiles, each annotated with the group count a trial clustering at
-// that ST produces. The "balanced" entry is a sensible default ST.
+// that ST produces. The "balanced" entry is a sensible default ST. It runs
+// to completion; callers that need cancellation compose SampleDistances
+// and RecommendFromSample.
 func RecommendThresholds(d *ts.Dataset, opts ThresholdOptions) ([]Recommendation, error) {
-	return RecommendThresholdsContext(context.Background(), d, opts)
-}
-
-// RecommendThresholdsContext is RecommendThresholds with cancellation: the
-// context is threaded through the distance sampling and re-checked between
-// the per-percentile trial clusterings (the dominant cost), so a cancelled
-// recommendation aborts between rounds with ctx.Err().
-func RecommendThresholdsContext(ctx context.Context, d *ts.Dataset, opts ThresholdOptions) ([]Recommendation, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	dists, probe, err := SampleDistancesContext(ctx, d, opts)
+	ctx := context.Background()
+	dists, probe, err := SampleDistances(ctx, d, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: RecommendThresholds: %w", err)
 	}
-	return RecommendFromSampleContext(ctx, d, dists, probe)
+	return RecommendFromSample(ctx, d, dists, probe)
 }
 
-// RecommendFromSampleContext derives the recommendations from an
-// already-drawn SampleDistances sample (sorted ascending, normalized per
-// point, measured at probe), so callers needing both the distribution and
-// the recommendations pay the sampling pass only once.
-func RecommendFromSampleContext(ctx context.Context, d *ts.Dataset, dists []float64, probe int) ([]Recommendation, error) {
+// RecommendFromSample derives the recommendations from an already-drawn
+// SampleDistances sample (sorted ascending, normalized per point, measured
+// at probe), so callers needing both the distribution and the
+// recommendations pay the sampling pass only once. The context is checked
+// between the per-percentile trial clusterings (the dominant cost), so a
+// cancelled recommendation aborts between rounds with ctx.Err().
+func RecommendFromSample(ctx context.Context, d *ts.Dataset, dists []float64, probe int) ([]Recommendation, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sync"
 	"testing"
 	"time"
 
@@ -211,8 +215,14 @@ func TestFollowerSpoolBootstrapMmap(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
+	// The follower reaches the leader through a gate that can hold its WAL
+	// long-polls, so the compaction fence below is not a race.
+	gate := newTailGate(t, hts.URL)
+	proxy := httptest.NewServer(gate)
+	defer proxy.Close()
+
 	spool := t.TempDir()
-	f := replica.New(hts.URL, "walks", replica.Options{
+	f := replica.New(proxy.URL, "walks", replica.Options{
 		PollWait: 500 * time.Millisecond,
 		SpoolDir: spool,
 	})
@@ -246,13 +256,17 @@ func TestFollowerSpoolBootstrapMmap(t *testing.T) {
 
 	// A compaction fence forces a re-ship: the spool file is atomically
 	// replaced, a new mapping swapped in, and the old DB closed. The
-	// follower must come out the other side still byte-equivalent.
+	// follower must come out the other side still byte-equivalent. Its
+	// tail is held while the leader ingests and compacts, so its next poll
+	// asks for a record the snapshot has already folded in.
+	gate.hold(ctx)
 	if err := leader.AddSeries("post-fence", extra.Series[0].Values); err != nil {
 		t.Fatal(err)
 	}
 	if err := leader.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
+	gate.release()
 	if err := f.WaitCaughtUp(ctx, leader.Version()); err != nil {
 		t.Fatal(err)
 	}
@@ -260,6 +274,61 @@ func TestFollowerSpoolBootstrapMmap(t *testing.T) {
 	if st := f.Status(); st.SnapshotsShipped < 2 {
 		t.Fatalf("fence should force a snapshot re-ship, got %d ships", st.SnapshotsShipped)
 	}
+}
+
+// tailGate proxies a follower's requests to the leader and can hold its
+// WAL long-polls at the door, so a test can change the leader's log while
+// no poll is in flight.
+type tailGate struct {
+	proxy  *httputil.ReverseProxy
+	mu     sync.Mutex
+	gate   chan struct{} // non-nil while holding; closed on release
+	parked chan struct{} // signalled by each poll that reaches a held gate
+}
+
+func newTailGate(t *testing.T, leaderURL string) *tailGate {
+	t.Helper()
+	u, err := url.Parse(leaderURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &tailGate{proxy: httputil.NewSingleHostReverseProxy(u), parked: make(chan struct{}, 1)}
+}
+
+func (g *tailGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == replica.WALPath("walks") {
+		g.mu.Lock()
+		gate := g.gate
+		g.mu.Unlock()
+		if gate != nil {
+			select {
+			case g.parked <- struct{}{}:
+			default:
+			}
+			<-gate
+		}
+	}
+	g.proxy.ServeHTTP(w, r)
+}
+
+// hold closes the gate and returns once a poll is parked at it: the poll
+// in flight when hold was called has finished, and no other can start.
+func (g *tailGate) hold(ctx context.Context) {
+	g.mu.Lock()
+	g.gate = make(chan struct{})
+	g.mu.Unlock()
+	select {
+	case <-g.parked:
+	case <-ctx.Done():
+	}
+}
+
+// release lets the parked poll, and every later one, through.
+func (g *tailGate) release() {
+	g.mu.Lock()
+	close(g.gate)
+	g.gate = nil
+	g.mu.Unlock()
 }
 
 // TestReplicaDBIsReadOnly: the follower's DB refuses direct writes — the

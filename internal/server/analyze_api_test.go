@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -111,10 +112,16 @@ func TestAnalyzeRouteParity(t *testing.T) {
 	if !ok {
 		t.Fatal("growth not registered")
 	}
-	libSweep, err := db.SimilaritySweep(mustSeries(t, db, "MA")[0:8], []float64{0.05, 0.1})
+	ctx := context.Background()
+	lib, err := db.Analyze(ctx, onex.Analysis{
+		Kind:       onex.AnalysisSimilaritySweep,
+		Values:     mustSeries(t, db, "MA")[0:8],
+		Thresholds: []float64{0.05, 0.1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	libSweep := lib.Sweep
 	res = analyze(t, hts.URL, onex.Analysis{
 		Kind:       onex.AnalysisSimilaritySweep,
 		Window:     onex.Window{Series: "MA", Start: 0, Length: 8},
@@ -124,7 +131,11 @@ func TestAnalyzeRouteParity(t *testing.T) {
 		t.Fatalf("sweep: library %+v != analyze %+v", libSweep, res.Sweep)
 	}
 
-	libCommon := db.CommonPatterns(3, 0, 0, 4)
+	lib, err = db.Analyze(ctx, onex.Analysis{Kind: onex.AnalysisCommonPatterns, MinSeries: 3, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	libCommon := lib.Common
 	res = analyze(t, hts.URL, onex.Analysis{Kind: onex.AnalysisCommonPatterns, MinSeries: 3, K: 4})
 	if len(libCommon) == 0 || !reflect.DeepEqual(libCommon, res.Common) {
 		t.Fatalf("common: library %d != analyze %d", len(libCommon), len(res.Common))

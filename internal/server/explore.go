@@ -136,12 +136,16 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		{Name: fmt.Sprintf("%s[%d:%d)", data.Series, data.Start, data.Start+data.Len), Values: q},
 	}, 420, 180))
 
-	m, err := db.BestMatchForSeries(data.Series, data.Start, data.Len)
+	res, err := db.Find(r.Context(), onex.Query{
+		Window:  onex.Window{Series: data.Series, Start: data.Start, Length: data.Len},
+		Exclude: onex.Exclude{Self: true},
+	})
 	if err != nil {
 		data.Error = err.Error()
 		renderExplore(w, data)
 		return
 	}
+	m := res.Matches[0]
 	path := make(dist.WarpPath, len(m.Path))
 	for i, p := range m.Path {
 		path[i] = dist.PathStep{I: p[0], J: p[1]}
@@ -158,8 +162,13 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		baseD = db.ST() / 4
 	}
 	thresholds := []float64{baseD, baseD * 1.5, baseD * 2, baseD * 3, baseD * 5}
-	if pts, err := db.SimilaritySweep(q, thresholds); err == nil {
-		for _, p := range pts {
+	sweep, err := db.Analyze(r.Context(), onex.Analysis{
+		Kind:       onex.AnalysisSimilaritySweep,
+		Values:     q,
+		Thresholds: thresholds,
+	})
+	if err == nil {
+		for _, p := range sweep.Sweep {
 			data.Sweep = append(data.Sweep, sweepRow{MaxDist: p.MaxDist, Matches: p.Matches})
 		}
 	}
@@ -177,11 +186,12 @@ func (s *Server) handleVizThresholds(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "dataset %q not loaded", r.PathValue("name"))
 		return
 	}
-	dists, probe, recs, err := db.ThresholdDistribution()
+	res, err := db.Analyze(r.Context(), onex.Analysis{Kind: onex.AnalysisThresholds})
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	dists, probe, recs := res.Thresholds.Sample, res.Thresholds.ProbeLength, res.Thresholds.Recommendations
 	markers := make([]viz.HistogramMarker, len(recs))
 	for i, rec := range recs {
 		markers[i] = viz.HistogramMarker{Value: rec.ST, Label: rec.Label}

@@ -99,6 +99,24 @@ func TestRangeEndpoint(t *testing.T) {
 		}
 	}
 
+	// A zero threshold means exact matches only: the query window itself.
+	var exact []onex.Match
+	rz, raw := postJSON(t, hts.URL+"/api/datasets/growth/query/range", RangeRequest{Series: "MA", Start: 0, Length: 8})
+	if rz.StatusCode != http.StatusOK {
+		t.Fatalf("zero-threshold range status = %d: %s", rz.StatusCode, raw)
+	}
+	if err := json.Unmarshal(raw, &exact); err != nil {
+		t.Fatal(err)
+	}
+	if len(exact) == 0 || exact[0].Series != "MA" || exact[0].Start != 0 || exact[0].Length != 8 {
+		t.Fatalf("zero-threshold range missed the query window: %+v", exact)
+	}
+	for _, m := range exact {
+		if m.Dist != 0 {
+			t.Fatalf("zero-threshold range returned dist %g", m.Dist)
+		}
+	}
+
 	// Ad-hoc values variant.
 	body2, _ := json.Marshal(RangeRequest{Values: []float64{2, 2.5, 3, 2.5, 2}, MaxDist: 5})
 	resp2, err := http.Post(hts.URL+"/api/datasets/growth/query/range", "application/json", bytes.NewReader(body2))
@@ -111,7 +129,8 @@ func TestRangeEndpoint(t *testing.T) {
 	}
 
 	// Bad requests.
-	for _, bad := range []string{`{`, `{"max_dist":1}`, `{"series":"MA","start":0,"length":9999,"max_dist":1}`} {
+	for _, bad := range []string{`{`, `{"max_dist":1}`, `{"series":"MA","start":0,"length":9999,"max_dist":1}`,
+		`{"series":"MA","start":0,"length":8,"max_dist":-0.5}`} {
 		r2, err := http.Post(hts.URL+"/api/datasets/growth/query/range", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatal(err)

@@ -51,6 +51,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"path/filepath"
 	"runtime"
@@ -798,30 +799,25 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "provide either values or series+start+length")
 		return
 	}
-	var (
-		ms  []onex.Match
-		err error
-	)
-	if req.MaxDist > 0 {
-		// Route through Find so a disconnecting client cancels the scan.
-		var res onex.Result
-		res, err = db.Find(r.Context(), onex.Query{
-			Values: q, MaxDist: req.MaxDist, K: req.Limit,
-			Workers: s.capWorkers(0),
-		})
-		ms = res.Matches
-	} else {
-		// MaxDist = 0 ("exact matches only") keeps its legacy range
-		// semantics via the wrapper. Query cannot express a zero-threshold
-		// range, so this branch runs uncancellable — acceptable: a zero
-		// threshold LB-prunes almost every candidate immediately.
-		ms, err = db.WithinThreshold(q, req.MaxDist, req.Limit)
+	// Query spells range mode MaxDist > 0, so the route's zero threshold
+	// ("exact matches only") maps to the smallest positive one.
+	maxDist := req.MaxDist
+	if !(maxDist >= 0) {
+		writeErr(w, http.StatusBadRequest, "max_dist %g must be non-negative", maxDist)
+		return
 	}
+	if maxDist == 0 {
+		maxDist = math.SmallestNonzeroFloat64
+	}
+	res, err := db.Find(r.Context(), onex.Query{
+		Values: q, MaxDist: maxDist, K: req.Limit,
+		Workers: s.capWorkers(0),
+	})
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ms)
+	writeJSON(w, http.StatusOK, res.Matches)
 }
 
 func (s *Server) handleGroupMembers(w http.ResponseWriter, r *http.Request) {

@@ -48,11 +48,15 @@ func (s *Server) handleVizMatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "series and len are required")
 		return
 	}
-	m, err := db.BestMatchForSeries(series, start, length)
+	res, err := db.Find(r.Context(), onex.Query{
+		Window:  onex.Window{Series: series, Start: start, Length: length},
+		Exclude: onex.Exclude{Self: true},
+	})
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	m := res.Matches[0]
 	vals, err := db.SeriesValues(series)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
@@ -129,8 +133,15 @@ func (s *Server) handleVizSeasonal(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "series is required")
 		return
 	}
-	length := queryInt(r, "len", 0)
-	pats, err := db.Seasonal(series, length, length, 2)
+	// Non-positive lengths have always meant "the indexed range" here;
+	// Analysis spells that 0.
+	length := max(queryInt(r, "len", 0), 0)
+	res, err := db.Analyze(r.Context(), onex.Analysis{
+		Kind:           onex.AnalysisSeasonal,
+		Series:         series,
+		Lengths:        onex.Lengths{Min: length, Max: length},
+		MinOccurrences: 2,
+	})
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -142,8 +153,8 @@ func (s *Server) handleVizSeasonal(w http.ResponseWriter, r *http.Request) {
 	}
 	var segs []viz.SeasonalSegment
 	title := fmt.Sprintf("seasonal — %s (no pattern)", series)
-	if len(pats) > 0 {
-		p := pats[0]
+	if len(res.Patterns) > 0 {
+		p := res.Patterns[0]
 		for _, st := range p.Starts {
 			segs = append(segs, viz.SeasonalSegment{Start: st, Length: p.Length})
 		}

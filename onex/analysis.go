@@ -227,7 +227,7 @@ func (db *DB) Analyze(ctx context.Context, a Analysis) (AnalysisResult, error) {
 			return AnalysisResult{}, &AnalysisError{Kind: a.Kind, Field: "Length", Value: a.Length,
 				Reason: "must be non-negative (0 auto-selects the most populated length)"}
 		}
-		sums, err := db.engine.OverviewContext(ctx, a.Length, a.K, &st)
+		sums, err := db.engine.Overview(ctx, a.Length, a.K, &st)
 		if err != nil {
 			return AnalysisResult{}, err
 		}
@@ -249,7 +249,7 @@ func (db *DB) Analyze(ctx context.Context, a Analysis) (AnalysisResult, error) {
 			return AnalysisResult{}, &AnalysisError{Kind: a.Kind, Field: "Index", Value: a.Index,
 				Reason: "group index must be non-negative"}
 		}
-		ms, err := db.engine.GroupMembersContext(ctx, core.GroupRef{Length: a.Length, Index: a.Index}, &st)
+		ms, err := db.engine.GroupMembers(ctx, core.GroupRef{Length: a.Length, Index: a.Index}, &st)
 		if err != nil {
 			return AnalysisResult{}, err
 		}
@@ -266,7 +266,7 @@ func (db *DB) Analyze(ctx context.Context, a Analysis) (AnalysisResult, error) {
 		}
 
 	case AnalysisLengthSummaries:
-		sums, err := db.engine.LengthSummariesContext(ctx, &st)
+		sums, err := db.engine.LengthSummaries(ctx, &st)
 		if err != nil {
 			return AnalysisResult{}, err
 		}
@@ -285,7 +285,7 @@ func (db *DB) Analyze(ctx context.Context, a Analysis) (AnalysisResult, error) {
 			eff.K = 16
 		}
 		db.resolveLengths(&eff.Lengths)
-		pats, err := db.engine.SeasonalContext(ctx, a.Series, core.SeasonalOptions{
+		pats, err := db.engine.Seasonal(ctx, a.Series, core.SeasonalOptions{
 			MinLength:      eff.Lengths.Min,
 			MaxLength:      eff.Lengths.Max,
 			MinOccurrences: eff.MinOccurrences,
@@ -320,7 +320,7 @@ func (db *DB) Analyze(ctx context.Context, a Analysis) (AnalysisResult, error) {
 			eff.K = 16
 		}
 		db.resolveLengths(&eff.Lengths)
-		pats, err := db.engine.CommonPatternsContext(ctx, core.CommonOptions{
+		pats, err := db.engine.CommonPatterns(ctx, core.CommonOptions{
 			MinSeries:   eff.MinSeries,
 			MinLength:   eff.Lengths.Min,
 			MaxLength:   eff.Lengths.Max,
@@ -365,7 +365,7 @@ func (db *DB) Analyze(ctx context.Context, a Analysis) (AnalysisResult, error) {
 		}
 		db.resolveLengths(&eff.Lengths)
 		eff.Mode = ModeExact // sweeps run the certified range scan
-		pts, err := db.engine.SimilaritySweepContext(ctx, qvec, a.Thresholds,
+		pts, err := db.engine.SimilaritySweep(ctx, qvec, a.Thresholds,
 			core.QueryConstraints{MinLength: eff.Lengths.Min, MaxLength: eff.Lengths.Max},
 			core.Options{Band: band, Mode: mode, LengthNorm: true, Workers: workers}, &st)
 		if err != nil {
@@ -374,11 +374,11 @@ func (db *DB) Analyze(ctx context.Context, a Analysis) (AnalysisResult, error) {
 		res.Sweep = pts
 
 	case AnalysisThresholds:
-		dists, probe, err := core.SampleDistancesContext(ctx, db.normed, core.ThresholdOptions{})
+		dists, probe, err := core.SampleDistances(ctx, db.normed, core.ThresholdOptions{})
 		if err != nil {
 			return AnalysisResult{}, err
 		}
-		recs, err := core.RecommendFromSampleContext(ctx, db.normed, dists, probe)
+		recs, err := core.RecommendFromSample(ctx, db.normed, dists, probe)
 		if err != nil {
 			return AnalysisResult{}, err
 		}

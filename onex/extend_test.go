@@ -1,8 +1,10 @@
 package onex
 
 import (
+	"context"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -13,10 +15,7 @@ func TestWithinThresholdPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := raw[0:8]
-	ms, err := db.WithinThreshold(q, 0.05, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := mustFind(t, db, Query{Values: q, MaxDist: 0.05})
 	if len(ms) == 0 {
 		t.Fatal("self window should be within any threshold")
 	}
@@ -29,18 +28,12 @@ func TestWithinThresholdPublic(t *testing.T) {
 		}
 	}
 	// Larger thresholds can only grow the set.
-	more, err := db.WithinThreshold(q, 0.1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	more := mustFind(t, db, Query{Values: q, MaxDist: 0.1})
 	if len(more) < len(ms) {
 		t.Fatal("looser threshold shrank the result set")
 	}
 	// Limit honored.
-	lim, err := db.WithinThreshold(q, 0.1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lim := mustFind(t, db, Query{Values: q, MaxDist: 0.1, K: 2})
 	if len(lim) > 2 {
 		t.Fatal("limit ignored")
 	}
@@ -48,7 +41,7 @@ func TestWithinThresholdPublic(t *testing.T) {
 
 func TestCommonPatternsPublic(t *testing.T) {
 	db := openSmall(t)
-	shapes := db.CommonPatterns(2, 0, 0, 5)
+	shapes := mustAnalyze(t, db, Analysis{Kind: AnalysisCommonPatterns, MinSeries: 2, K: 5}).Common
 	if len(shapes) == 0 {
 		t.Fatal("MATTERS regional structure should yield cross-series shapes")
 	}
@@ -78,10 +71,10 @@ func TestSimilaritySweepPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := db.SimilaritySweep(raw[0:8], []float64{0.02, 0.05, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	thresholds := []float64{0.02, 0.05, 0.1}
+	pts := mustAnalyze(t, db, Analysis{
+		Kind: AnalysisSimilaritySweep, Values: raw[0:8], Thresholds: thresholds,
+	}).Sweep
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -93,14 +86,21 @@ func TestSimilaritySweepPublic(t *testing.T) {
 	if pts[len(pts)-1].Matches == 0 {
 		t.Fatal("no matches at the loosest threshold despite self window")
 	}
+	// A window addressing the same samples answers identically.
+	win := mustAnalyze(t, db, Analysis{
+		Kind:       AnalysisSimilaritySweep,
+		Window:     Window{Series: "MA", Start: 0, Length: 8},
+		Thresholds: thresholds,
+	}).Sweep
+	if !reflect.DeepEqual(win, pts) {
+		t.Fatalf("window sweep %+v != values sweep %+v", win, pts)
+	}
 }
 
 func TestThresholdDistributionPublic(t *testing.T) {
 	db := openSmall(t)
-	dists, probe, recs, err := db.ThresholdDistribution()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustAnalyze(t, db, Analysis{Kind: AnalysisThresholds}).Thresholds
+	dists, probe, recs := tr.Sample, tr.ProbeLength, tr.Recommendations
 	if len(dists) == 0 || probe < 2 || len(recs) != 3 {
 		t.Fatalf("distribution shape: %d dists, probe %d, %d recs", len(dists), probe, len(recs))
 	}
@@ -120,14 +120,11 @@ func TestThresholdDistributionPublic(t *testing.T) {
 
 func TestGroupMembersPublic(t *testing.T) {
 	db := openSmall(t)
-	ov := db.Overview(6, 1)
+	ov := mustAnalyze(t, db, Analysis{Kind: AnalysisOverview, Length: 6, K: 1}).Groups
 	if len(ov) == 0 {
 		t.Fatal("no overview")
 	}
-	members, err := db.GroupMembers(6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	members := mustAnalyze(t, db, Analysis{Kind: AnalysisGroupMembers, Length: 6}).Members
 	if len(members) != ov[0].Count {
 		t.Fatalf("members %d != overview count %d", len(members), ov[0].Count)
 	}
@@ -139,14 +136,14 @@ func TestGroupMembersPublic(t *testing.T) {
 			t.Fatal("members not sorted")
 		}
 	}
-	if _, err := db.GroupMembers(6, 1<<20); err == nil {
+	if _, err := db.Analyze(context.Background(), Analysis{Kind: AnalysisGroupMembers, Length: 6, Index: 1 << 20}); err == nil {
 		t.Fatal("out-of-range group accepted")
 	}
 }
 
 func TestLengthSummariesPublic(t *testing.T) {
 	db := openSmall(t)
-	ls := db.LengthSummaries()
+	ls := mustAnalyze(t, db, Analysis{Kind: AnalysisLengthSummaries}).LengthSummaries
 	if len(ls) == 0 {
 		t.Fatal("no length summaries")
 	}
@@ -183,10 +180,7 @@ func TestAddSeriesPublic(t *testing.T) {
 	if after.Subsequences <= before.Subsequences {
 		t.Fatal("no subsequences indexed for the new series")
 	}
-	m, err := db.BestMatchOtherSeries("MA", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustFind(t, db, otherSeriesQuery("MA", 0, 8))[0]
 	if m.Series != "MA2" {
 		t.Fatalf("nearest other series = %s, want the inserted clone", m.Series)
 	}
@@ -194,7 +188,7 @@ func TestAddSeriesPublic(t *testing.T) {
 		t.Fatalf("clone distance %g unexpectedly large", m.Dist)
 	}
 	// The new series is queryable as a source too.
-	if _, err := db.BestMatchForSeries("MA2", 0, 6); err != nil {
+	if _, err := db.Find(context.Background(), selfExcludedQuery("MA2", 0, 6)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -211,7 +205,7 @@ func TestAddSeriesValidation(t *testing.T) {
 		t.Fatal("duplicate name accepted")
 	}
 	// Failed adds must not corrupt the DB.
-	if _, err := db.BestMatchForSeries("MA", 0, 6); err != nil {
+	if _, err := db.Find(context.Background(), selfExcludedQuery("MA", 0, 6)); err != nil {
 		t.Fatalf("db corrupted after rejected adds: %v", err)
 	}
 }
@@ -227,10 +221,7 @@ func TestAddSeriesOutOfRangeValues(t *testing.T) {
 	if err := db.AddSeries("huge", big); err != nil {
 		t.Fatal(err)
 	}
-	m, err := db.BestMatchForSeries("huge", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustFind(t, db, selfExcludedQuery("huge", 0, 8))[0]
 	if math.IsNaN(m.Dist) {
 		t.Fatal("NaN distance after out-of-range insert")
 	}
@@ -259,14 +250,8 @@ func TestSaveAndOpenWithBase(t *testing.T) {
 	if db2.ST() != db.ST() {
 		t.Fatalf("ST drifted: %g vs %g", db2.ST(), db.ST())
 	}
-	m1, err := db.BestMatchOtherSeries("MA", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := db2.BestMatchOtherSeries("MA", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := mustFind(t, db, otherSeriesQuery("MA", 0, 8))[0]
+	m2 := mustFind(t, db2, otherSeriesQuery("MA", 0, 8))[0]
 	if m1.Series != m2.Series || math.Abs(m1.Dist-m2.Dist) > 1e-12 {
 		t.Fatalf("answers differ after reload: %+v vs %+v", m1, m2)
 	}

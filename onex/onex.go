@@ -49,7 +49,6 @@
 package onex
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -439,111 +438,6 @@ func (db *DB) publicMatch(m core.Match) Match {
 		Values: values,
 		Path:   path,
 	}
-}
-
-// BestMatch finds the most similar indexed subsequence to an ad-hoc query
-// given in original units.
-//
-// Deprecated: use Find with Query{Values: q}.
-func (db *DB) BestMatch(q []float64) (Match, error) {
-	res, err := db.Find(context.Background(), Query{Values: q})
-	if err != nil {
-		return Match{}, err
-	}
-	return res.Matches[0], nil
-}
-
-// KBestMatches returns the k most similar indexed subsequences.
-//
-// Deprecated: use Find with Query{Values: q, K: k}.
-func (db *DB) KBestMatches(q []float64, k int) ([]Match, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("onex: KBestMatches: k = %d must be >= 1", k)
-	}
-	res, err := db.Find(context.Background(), Query{Values: q, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return res.Matches, nil
-}
-
-// BestMatchForSeries runs the demo's similarity flow: take the window
-// [start, start+length) of the named series as the query and find the most
-// similar window elsewhere (the query's own overlapping windows are
-// excluded).
-//
-// Deprecated: use Find with Query{Window: Window{...}, Exclude:
-// Exclude{Self: true}}.
-func (db *DB) BestMatchForSeries(seriesName string, start, length int) (Match, error) {
-	res, err := db.Find(context.Background(), Query{
-		Window:  Window{Series: seriesName, Start: start, Length: length},
-		Exclude: Exclude{Self: true},
-	})
-	if err != nil {
-		return Match{}, err
-	}
-	return res.Matches[0], nil
-}
-
-// BestMatchOtherSeries is BestMatchForSeries but excludes the whole source
-// series, answering "which other state looks most like MA?".
-//
-// Deprecated: use Find with Query{Window: Window{...}, Exclude:
-// Exclude{Series: []string{seriesName}}}.
-func (db *DB) BestMatchOtherSeries(seriesName string, start, length int) (Match, error) {
-	res, err := db.Find(context.Background(), Query{
-		Window:  Window{Series: seriesName, Start: start, Length: length},
-		Exclude: Exclude{Series: []string{seriesName}},
-	})
-	if err != nil {
-		return Match{}, err
-	}
-	return res.Matches[0], nil
-}
-
-// Seasonal finds repeating patterns within one series (paper §3.3, Fig 4).
-//
-// Deprecated: use Analyze with Analysis{Kind: AnalysisSeasonal, Series:
-// seriesName, Lengths: Lengths{Min: minLen, Max: maxLen}, MinOccurrences:
-// minOccurrences}.
-func (db *DB) Seasonal(seriesName string, minLen, maxLen, minOccurrences int) ([]Pattern, error) {
-	// This method has always treated non-positive bounds as "the indexed
-	// range"; Analysis spells that 0, so clamp before delegating.
-	res, err := db.Analyze(context.Background(), Analysis{
-		Kind:           AnalysisSeasonal,
-		Series:         seriesName,
-		Lengths:        Lengths{Min: max(minLen, 0), Max: max(maxLen, 0)},
-		MinOccurrences: minOccurrences,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Patterns, nil
-}
-
-// Overview returns the top-k groups of the given length (length 0
-// auto-selects, k<=0 returns all), representatives in original units.
-//
-// Deprecated: use Analyze with Analysis{Kind: AnalysisOverview, Length:
-// length, K: k}.
-func (db *DB) Overview(length, k int) []GroupInfo {
-	res, err := db.Analyze(context.Background(), Analysis{Kind: AnalysisOverview, Length: length, K: k})
-	if err != nil {
-		return nil
-	}
-	return res.Groups
-}
-
-// RecommendThresholds surfaces the data-driven threshold suggestions for
-// the (normalized) dataset.
-//
-// Deprecated: use Analyze with Analysis{Kind: AnalysisThresholds}.
-func (db *DB) RecommendThresholds() ([]Recommendation, error) {
-	res, err := db.Analyze(context.Background(), Analysis{Kind: AnalysisThresholds})
-	if err != nil {
-		return nil, err
-	}
-	return res.Thresholds.Recommendations, nil
 }
 
 // RecommendForDataset computes threshold recommendations for a dataset

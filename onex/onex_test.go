@@ -1,6 +1,7 @@
 package onex
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -21,6 +22,38 @@ func openSmall(t testing.TB) *DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// mustFind runs q and returns its matches.
+func mustFind(t testing.TB, db *DB, q Query) []Match {
+	t.Helper()
+	res, err := db.Find(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Matches
+}
+
+// selfExcludedQuery asks for the window most similar to
+// series[start:start+length) outside the query's own overlapping windows.
+func selfExcludedQuery(series string, start, length int) Query {
+	return Query{Window: Window{Series: series, Start: start, Length: length}, Exclude: Exclude{Self: true}}
+}
+
+// otherSeriesQuery asks for the window most similar to
+// series[start:start+length) in any other series.
+func otherSeriesQuery(series string, start, length int) Query {
+	return Query{Window: Window{Series: series, Start: start, Length: length}, Exclude: Exclude{Series: []string{series}}}
+}
+
+// mustAnalyze runs a and returns its result.
+func mustAnalyze(t testing.TB, db *DB, a Analysis) AnalysisResult {
+	t.Helper()
+	res, err := db.Analyze(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestOpenDefaults(t *testing.T) {
@@ -68,10 +101,10 @@ func TestBestMatchForSeriesDemoFlow(t *testing.T) {
 	db := openSmall(t)
 	// The demo selects MA and brushes a window; the best match must come
 	// from elsewhere and carry a valid path and original-unit values.
-	m, err := db.BestMatchForSeries("MA", 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustFind(t, db, Query{
+		Window:  Window{Series: "MA", Start: 2, Length: 8},
+		Exclude: Exclude{Self: true},
+	})[0]
 	if m.Series == "" || m.Length != len(m.Values) {
 		t.Fatalf("malformed match %+v", m)
 	}
@@ -101,10 +134,10 @@ func TestBestMatchForSeriesDemoFlow(t *testing.T) {
 
 func TestBestMatchOtherSeriesExcludesSource(t *testing.T) {
 	db := openSmall(t)
-	m, err := db.BestMatchOtherSeries("MA", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustFind(t, db, Query{
+		Window:  Window{Series: "MA", Start: 0, Length: 8},
+		Exclude: Exclude{Series: []string{"MA"}},
+	})[0]
 	if m.Series == "MA" {
 		t.Fatal("source series not excluded")
 	}
@@ -119,10 +152,7 @@ func TestBestMatchAdHocQueryUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := raw[3:10]
-	m, err := db.BestMatch(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustFind(t, db, Query{Values: q})[0]
 	if m.Dist > 1e-9 {
 		t.Fatalf("self query in original units missed: dist %g", m.Dist)
 	}
@@ -134,10 +164,7 @@ func TestBestMatchAdHocQueryUnits(t *testing.T) {
 func TestKBestMatches(t *testing.T) {
 	db := openSmall(t)
 	raw, _ := db.SeriesValues("MA")
-	ms, err := db.KBestMatches(raw[0:6], 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := mustFind(t, db, Query{Values: raw[0:6], K: 4})
 	if len(ms) == 0 {
 		t.Fatal("no matches")
 	}
@@ -154,10 +181,9 @@ func TestSeasonalPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pats, err := db.Seasonal("household-00", 12, 12, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pats := mustAnalyze(t, db, Analysis{
+		Kind: AnalysisSeasonal, Series: "household-00", Lengths: Lengths{Min: 12, Max: 12}, MinOccurrences: 2,
+	}).Patterns
 	if len(pats) == 0 {
 		t.Fatal("no daily pattern found in electricity data")
 	}
@@ -172,7 +198,7 @@ func TestSeasonalPublic(t *testing.T) {
 
 func TestOverviewPublic(t *testing.T) {
 	db := openSmall(t)
-	ov := db.Overview(6, 5)
+	ov := mustAnalyze(t, db, Analysis{Kind: AnalysisOverview, Length: 6, K: 5}).Groups
 	if len(ov) == 0 || len(ov) > 5 {
 		t.Fatalf("overview size %d", len(ov))
 	}
@@ -181,14 +207,16 @@ func TestOverviewPublic(t *testing.T) {
 			t.Fatalf("bad group info %+v", g)
 		}
 	}
+	// Length 0 auto-selects, and the resolved length is echoed.
+	auto := mustAnalyze(t, db, Analysis{Kind: AnalysisOverview, K: 5})
+	if auto.Request.Length == 0 || len(auto.Groups) != 5 || auto.Groups[0].Length != auto.Request.Length {
+		t.Fatalf("auto-selected overview: request %+v, %d groups", auto.Request, len(auto.Groups))
+	}
 }
 
 func TestRecommendThresholdsPublic(t *testing.T) {
 	db := openSmall(t)
-	recs, err := db.RecommendThresholds()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := mustAnalyze(t, db, Analysis{Kind: AnalysisThresholds}).Thresholds.Recommendations
 	if len(recs) != 3 {
 		t.Fatalf("recommendations = %d", len(recs))
 	}
@@ -242,10 +270,7 @@ func TestExactConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw, _ := db.SeriesValues("MA")
-	m, err := db.BestMatch(raw[0:5])
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustFind(t, db, Query{Values: raw[0:5]})[0]
 	if m.Dist > 1e-9 {
 		t.Fatalf("exact self query dist = %g", m.Dist)
 	}
@@ -261,10 +286,7 @@ func TestKeepRawConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw, _ := db.SeriesValues("MA")
-	m, err := db.BestMatch(raw[0:5])
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustFind(t, db, Query{Values: raw[0:5]})[0]
 	if m.Dist > 1e-9 {
 		t.Fatalf("raw-mode self query dist = %g", m.Dist)
 	}

@@ -4,11 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
+	"repro/internal/bruteforce"
 	"repro/internal/gen"
+	"repro/internal/ts"
 )
 
 // openWalks opens a base large enough that the per-query worker pool
@@ -65,9 +70,13 @@ func TestAnalyzeWorkersKnob(t *testing.T) {
 	}
 }
 
-// TestFindWorkersEquivalencePublic pins the public contract: Workers only
-// changes wall time. Identical matches in identical order, in exact and
-// approx modes and for range queries, at every worker count.
+// TestFindWorkersEquivalencePublic pins the public contract
+// (docs/ARCHITECTURE.md, "Determinism contract"): Workers only changes
+// wall time. Identical matches in identical order, identical totals
+// Groups, GroupsRefined and Candidates, and in exact mode identical
+// Certified flags at every streamed update, at every worker count; exact
+// and range answers equal the brute-force oracle; and two runs at one
+// worker count report identical work counters.
 func TestFindWorkersEquivalencePublic(t *testing.T) {
 	db := openWalks(t)
 	raw, err := db.SeriesValues("walk-000")
@@ -76,37 +85,116 @@ func TestFindWorkersEquivalencePublic(t *testing.T) {
 	}
 	ctx := context.Background()
 	for name, q := range map[string]Query{
-		"approx":      {Values: raw[0:16], K: 5},
-		"exact":       {Values: raw[10:26], K: 5, Mode: ModeExact},
-		"range":       {Values: raw[0:16], MaxDist: 0.1},
-		"constrained": {Window: Window{Series: "walk-000", Start: 0, Length: 16}, K: 4, Exclude: Exclude{Series: []string{"walk-000"}}},
+		"approx":            {Values: raw[0:16], K: 5},
+		"exact":             {Values: raw[10:26], K: 5, Mode: ModeExact},
+		"range":             {Values: raw[0:16], MaxDist: 0.1},
+		"constrained":       {Window: Window{Series: "walk-000", Start: 0, Length: 16}, K: 4, Exclude: Exclude{Series: []string{"walk-000"}}},
+		"exact constrained": {Window: Window{Series: "walk-000", Start: 30, Length: 12}, K: 3, Mode: ModeExact, Exclude: Exclude{Self: true}},
 	} {
-		serialQ := q
-		serialQ.Workers = 1
-		serial, err := db.Find(ctx, serialQ)
-		if err != nil {
-			t.Fatalf("%s serial: %v", name, err)
-		}
-		for _, workers := range []int{2, 4, 0} {
+		var first Result
+		var firstCerts [][]bool
+		for wi, workers := range []int{1, 2, 4, 0} {
+			label := fmt.Sprintf("%s workers=%d", name, workers)
 			pq := q
 			pq.Workers = workers
-			par, err := db.Find(ctx, pq)
+			res, err := db.Find(ctx, pq)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			if len(par.Matches) != len(serial.Matches) {
-				t.Fatalf("%s workers=%d: %d matches != %d", name, workers, len(par.Matches), len(serial.Matches))
+			again, err := db.Find(ctx, pq)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
-			for i := range par.Matches {
-				sameMatch(t, fmt.Sprintf("%s workers=%d match %d", name, workers, i),
-					serial.Matches[i], par.Matches[i])
+			res.Stats.WallMicros, again.Stats.WallMicros = 0, 0
+			if res.Stats != again.Stats {
+				t.Fatalf("%s: stats differ between two runs: %+v vs %+v", label, res.Stats, again.Stats)
 			}
-			if par.Stats.Groups != serial.Stats.Groups ||
-				par.Stats.GroupsRefined != serial.Stats.GroupsRefined ||
-				par.Stats.Candidates != serial.Stats.Candidates {
-				t.Fatalf("%s workers=%d: deterministic totals drifted: %+v != %+v",
-					name, workers, par.Stats, serial.Stats)
+			var certs [][]bool
+			if q.Mode == ModeExact {
+				x, err := db.Stream(ctx, pq)
+				if err != nil {
+					t.Fatalf("%s stream: %v", label, err)
+				}
+				for _, u := range drain(t, x) {
+					certs = append(certs, u.Certified)
+				}
 			}
+			if wi == 0 {
+				first, firstCerts = res, certs
+				continue
+			}
+			if !reflect.DeepEqual(res.Matches, first.Matches) {
+				t.Fatalf("%s: matches %v != %v at workers=1", label, res.Matches, first.Matches)
+			}
+			if res.Stats.Groups != first.Stats.Groups ||
+				res.Stats.GroupsRefined != first.Stats.GroupsRefined ||
+				res.Stats.Candidates != first.Stats.Candidates {
+				t.Fatalf("%s: worker-independent totals drifted: workers=1 %+v, %+v",
+					label, first.Stats, res.Stats)
+			}
+			if !reflect.DeepEqual(certs, firstCerts) {
+				t.Fatalf("%s: certified flags %v != %v at workers=1", label, certs, firstCerts)
+			}
+		}
+		if q.Mode == ModeExact || q.MaxDist > 0 {
+			checkPublicOracle(t, name, db, q, first.Matches)
+		}
+	}
+}
+
+// checkPublicOracle compares got with a brute-force scan of the DB's
+// normalized data under q's candidate population, in the engine's result
+// order (score, then series, start, length).
+func checkPublicOracle(t *testing.T, label string, db *DB, q Query, got []Match) {
+	t.Helper()
+	cfg := db.Config()
+	opts := bruteforce.Options{
+		Band: cfg.Band, MinLength: cfg.MinLength, MaxLength: cfg.MaxLength, LengthNormalize: true,
+		ExcludeSeries: map[int]bool{},
+	}
+	qvec := db.normalizeQuery(q.Values)
+	if q.Window.Length > 0 {
+		self := ts.SubSeq{Series: db.normed.IndexOf(q.Window.Series), Start: q.Window.Start, Length: q.Window.Length}
+		qvec = self.Values(db.normed)
+		if q.Exclude.Self {
+			opts.ExcludeOverlap = self
+		}
+	}
+	for _, name := range q.Exclude.Series {
+		opts.ExcludeSeries[db.normed.IndexOf(name)] = true
+	}
+	all, err := bruteforce.KBest(db.normed, qvec, math.MaxInt32, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.Score != b.Score {
+			return a.Score < b.Score
+		}
+		if a.Ref.Series != b.Ref.Series {
+			return a.Ref.Series < b.Ref.Series
+		}
+		if a.Ref.Start != b.Ref.Start {
+			return a.Ref.Start < b.Ref.Start
+		}
+		return a.Ref.Length < b.Ref.Length
+	})
+	var want []bruteforce.Result
+	for _, r := range all {
+		if q.MaxDist > 0 && r.Score > q.MaxDist || q.MaxDist == 0 && len(want) == q.K {
+			break
+		}
+		want = append(want, r)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d matches, oracle %d", label, len(got), len(want))
+	}
+	for i, r := range want {
+		m := got[i]
+		if m.Series != db.normed.At(r.Ref.Series).Name || m.Start != r.Ref.Start || m.Length != r.Ref.Length || m.Dist != r.Score {
+			t.Fatalf("%s: match %d %s[%d:+%d] dist %g, oracle %+v score %g",
+				label, i, m.Series, m.Start, m.Length, m.Dist, r.Ref, r.Score)
 		}
 	}
 }

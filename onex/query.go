@@ -104,9 +104,9 @@ type Query struct {
 	LengthNorm Norm `json:"length_norm,omitempty"`
 	// Workers bounds the worker pool this one query may spread its group
 	// scans across (0 = GOMAXPROCS; negative values are rejected). Results
-	// are identical at every setting — Workers: 1 runs the serial engine —
-	// only the wall time changes. The HTTP server additionally caps the
-	// value per request so one query cannot monopolize the box.
+	// are identical at every setting, and at one setting the work counters
+	// in Stats are identical from run to run. The HTTP server additionally
+	// caps the value per request so one query cannot monopolize the box.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -163,13 +163,6 @@ var ErrNoMatch = core.ErrNoMatch
 //
 // Find is safe to call concurrently with other queries and with AddSeries.
 func (db *DB) Find(ctx context.Context, q Query) (Result, error) {
-	return db.find(ctx, q, q.MaxDist > 0)
-}
-
-// find is Find with the range/top-K decision made by the caller, so the
-// legacy WithinThreshold wrapper can force range semantics for its
-// MaxDist = 0 edge case.
-func (db *DB) find(ctx context.Context, q Query, rangeMode bool) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -180,7 +173,7 @@ func (db *DB) find(ctx context.Context, q Query, rangeMode bool) (Result, error)
 		return Result{}, err
 	}
 
-	rq, err := db.resolveQuery(q, rangeMode)
+	rq, err := db.resolveQuery(q, q.MaxDist > 0)
 	if err != nil {
 		return Result{}, err
 	}
@@ -193,7 +186,7 @@ func (db *DB) find(ctx context.Context, q Query, rangeMode bool) (Result, error)
 
 // resolvedQuery is a Query resolved against the DB's configuration: the
 // fully-defaulted echo, the query vector in engine units, and the core
-// call options. Produced by resolveQuery, consumed by find and Stream.
+// call options. Produced by resolveQuery, consumed by Find and Stream.
 type resolvedQuery struct {
 	eff  Query
 	qvec []float64

@@ -24,91 +24,6 @@ func sameMatch(t *testing.T, label string, a, b Match) {
 	}
 }
 
-// TestFindEquivalenceWithWrappers pins the deprecation contract: every
-// legacy method is a thin wrapper over Find, so both spellings must return
-// identical answers at equal inputs.
-func TestFindEquivalenceWithWrappers(t *testing.T) {
-	db := openSmall(t)
-	ctx := context.Background()
-	raw, err := db.SeriesValues("MA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := raw[0:8]
-
-	m, err := db.BestMatch(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Find(ctx, Query{Values: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != 1 {
-		t.Fatalf("Find K default returned %d matches", len(res.Matches))
-	}
-	sameMatch(t, "BestMatch", m, res.Matches[0])
-
-	ms, err := db.KBestMatches(q, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = db.Find(ctx, Query{Values: q, K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != len(res.Matches) {
-		t.Fatalf("KBestMatches %d != Find %d", len(ms), len(res.Matches))
-	}
-	for i := range ms {
-		sameMatch(t, "KBestMatches", ms[i], res.Matches[i])
-	}
-
-	m, err = db.BestMatchForSeries("MA", 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = db.Find(ctx, Query{
-		Window:  Window{Series: "MA", Start: 2, Length: 8},
-		Exclude: Exclude{Self: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMatch(t, "BestMatchForSeries", m, res.Matches[0])
-
-	m, err = db.BestMatchOtherSeries("MA", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = db.Find(ctx, Query{
-		Window:  Window{Series: "MA", Start: 0, Length: 8},
-		Exclude: Exclude{Series: []string{"MA"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMatch(t, "BestMatchOtherSeries", m, res.Matches[0])
-	if res.Matches[0].Series == "MA" {
-		t.Fatal("Exclude.Series ignored")
-	}
-
-	rs, err := db.WithinThreshold(q, 0.05, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = db.Find(ctx, Query{Values: q, MaxDist: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != len(res.Matches) {
-		t.Fatalf("WithinThreshold %d != Find range %d", len(rs), len(res.Matches))
-	}
-	for i := range rs {
-		sameMatch(t, "WithinThreshold", rs[i], res.Matches[i])
-	}
-}
-
 func TestFindEffectiveQuery(t *testing.T) {
 	db := openSmall(t) // MinLength 4, MaxLength 10
 	raw, _ := db.SeriesValues("MA")
@@ -117,8 +32,8 @@ func TestFindEffectiveQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	eq := res.Query
-	if eq.K != 1 {
-		t.Fatalf("resolved K = %d", eq.K)
+	if eq.K != 1 || len(res.Matches) != 1 {
+		t.Fatalf("resolved K = %d, %d matches", eq.K, len(res.Matches))
 	}
 	if eq.Mode != ModeApprox {
 		t.Fatalf("resolved Mode = %q", eq.Mode)
